@@ -5,7 +5,10 @@
 #
 # Usage: scripts/check.sh [--sanitize | --api-smoke | --serve-smoke | --fleet-smoke | --sched-smoke | --store-smoke] [build-dir] [build-type]
 #   --sanitize  ASan+UBSan run: Debug build with
-#               -fsanitize=address,undefined, leak detection on, tests
+#               -fsanitize=address,undefined,float-cast-overflow (GCC's
+#               "undefined" leaves out float-cast-overflow, which
+#               catches an unchecked double-to-int cast of wire
+#               input), leak detection on, tests
 #               only (the perf gates measure nothing useful under a
 #               sanitizer). The suite includes the task-graph executor,
 #               streaming-batch and AnalysisService/spool tests
@@ -111,7 +114,7 @@ if [[ -n "$BUILD_TYPE" ]]; then
     CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE="$BUILD_TYPE")
 fi
 if [[ "$SANITIZE" == 1 ]]; then
-    CMAKE_ARGS+=(-DGPUPERF_SANITIZE=address,undefined)
+    CMAKE_ARGS+=(-DGPUPERF_SANITIZE=address,undefined,float-cast-overflow)
     export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
     export UBSAN_OPTIONS="print_stacktrace=1"
 else

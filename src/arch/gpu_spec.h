@@ -137,7 +137,11 @@ struct GpuSpec
      * Deterministic serialization of EVERY field, used to key shared
      * calibrations: two specs with equal fingerprints behave
      * identically under simulation and may share tables. When adding
-     * a field to this struct, add it to fingerprint() as well.
+     * a field to this struct, add it to fingerprint() and to its field
+     * list (api/codecs.h) as well;
+     * GpuSpecFields.EveryFieldReachesFingerprintAndBothCodecs
+     * (tests/test_codecs.cc) checks that every listed field reaches
+     * fingerprint() and both codecs.
      */
     std::string fingerprint() const;
 

@@ -5,440 +5,40 @@
 namespace gpuperf {
 namespace store {
 
-namespace {
-
-void
-writeStage(ByteWriter &w, const funcsim::StageStats &s)
-{
-    for (uint64_t c : s.typeCounts)
-        w.u64(c);
-    w.u64(s.madCount);
-    w.u64(s.totalWarpInstrs);
-    w.u64(s.sharedInstrs);
-    w.u64(s.globalInstrs);
-    w.u64(s.sharedTransactions);
-    w.u64(s.sharedTransactionsIdeal);
-    w.u64(s.sharedBytes);
-    w.u64(s.globalTransactions);
-    w.u64(s.globalBytes);
-    w.u64(s.globalRequestBytes);
-    w.u64(s.globalXactBySize.size());
-    for (const auto &[size, count] : s.globalXactBySize) {
-        w.i32(size);
-        w.u64(count);
-    }
-    w.f64(s.activeWarpsPerBlock);
-}
-
-bool
-readStage(ByteReader &r, funcsim::StageStats *s)
-{
-    for (uint64_t &c : s->typeCounts)
-        c = r.u64();
-    s->madCount = r.u64();
-    s->totalWarpInstrs = r.u64();
-    s->sharedInstrs = r.u64();
-    s->globalInstrs = r.u64();
-    s->sharedTransactions = r.u64();
-    s->sharedTransactionsIdeal = r.u64();
-    s->sharedBytes = r.u64();
-    s->globalTransactions = r.u64();
-    s->globalBytes = r.u64();
-    s->globalRequestBytes = r.u64();
-    const uint64_t sizes = r.u64();
-    for (uint64_t i = 0; i < sizes && r.ok(); ++i) {
-        const int size = r.i32();
-        s->globalXactBySize[size] = r.u64();
-    }
-    s->activeWarpsPerBlock = r.f64();
-    return r.ok();
-}
-
-void
-writeTraceOp(ByteWriter &w, const funcsim::TraceOp &op)
-{
-    w.u8(static_cast<uint8_t>(op.unit));
-    w.u8(op.conflict);
-    w.u8(op.sharedPasses);
-    w.u16(op.dst);
-    w.u16(op.src[0]);
-    w.u16(op.src[1]);
-    w.u16(op.src[2]);
-    w.u16(op.numXacts);
-    w.u32(op.xactBytes);
-    w.u32(op.texIdx);
-}
-
-bool
-readTraceOp(ByteReader &r, funcsim::TraceOp *op)
-{
-    const uint8_t unit = r.u8();
-    if (unit > static_cast<uint8_t>(isa::UnitKind::kNone)) {
-        r.fail();
-        return false;
-    }
-    op->unit = static_cast<isa::UnitKind>(unit);
-    op->conflict = r.u8();
-    op->sharedPasses = r.u8();
-    op->dst = r.u16();
-    op->src[0] = r.u16();
-    op->src[1] = r.u16();
-    op->src[2] = r.u16();
-    op->numXacts = r.u16();
-    op->xactBytes = r.u32();
-    op->texIdx = r.u32();
-    return r.ok();
-}
-
-void
-writeKey(ByteWriter &w, const funcsim::ProfileKey &key)
-{
-    w.u64(key.kernelHash);
-    w.u64(key.inputHash);
-    w.i32(key.cfg.gridDim);
-    w.i32(key.cfg.blockDim);
-    w.b(key.homogeneous);
-    w.i32(key.sampleBlocks);
-    w.u64(key.maxWarpOps);
-    const arch::FuncsimFingerprint &fp = key.fingerprint;
-    w.i32(fp.warpSize);
-    w.i32(fp.coalesceGroup);
-    w.i32(fp.minSegmentBytes);
-    w.i32(fp.maxSegmentBytes);
-    w.i32(fp.numSharedBanks);
-    w.i32(fp.sharedBankWidth);
-    w.i32(fp.sharedIssueGroup);
-    w.i32(fp.textureCacheLineBytes);
-}
-
-bool
-readKey(ByteReader &r, funcsim::ProfileKey *key)
-{
-    key->kernelHash = r.u64();
-    key->inputHash = r.u64();
-    key->cfg.gridDim = r.i32();
-    key->cfg.blockDim = r.i32();
-    key->homogeneous = r.b();
-    key->sampleBlocks = r.i32();
-    key->maxWarpOps = r.u64();
-    arch::FuncsimFingerprint &fp = key->fingerprint;
-    fp.warpSize = r.i32();
-    fp.coalesceGroup = r.i32();
-    fp.minSegmentBytes = r.i32();
-    fp.maxSegmentBytes = r.i32();
-    fp.numSharedBanks = r.i32();
-    fp.sharedBankWidth = r.i32();
-    fp.sharedIssueGroup = r.i32();
-    fp.textureCacheLineBytes = r.i32();
-    return r.ok();
-}
-
-void
-writeOccupancy(ByteWriter &w, const arch::Occupancy &o)
-{
-    w.i32(o.blocksByRegisters);
-    w.i32(o.blocksBySharedMem);
-    w.i32(o.blocksByThreads);
-    w.i32(o.blocksByBlockLimit);
-    w.i32(o.blocksByWarpLimit);
-    w.i32(o.residentBlocks);
-    w.i32(o.residentWarps);
-    w.u8(static_cast<uint8_t>(o.limit));
-    w.i32(o.warpsPerBlock);
-}
-
-bool
-readOccupancy(ByteReader &r, arch::Occupancy *o)
-{
-    o->blocksByRegisters = r.i32();
-    o->blocksBySharedMem = r.i32();
-    o->blocksByThreads = r.i32();
-    o->blocksByBlockLimit = r.i32();
-    o->blocksByWarpLimit = r.i32();
-    o->residentBlocks = r.i32();
-    o->residentWarps = r.i32();
-    const uint8_t limit = r.u8();
-    if (limit > static_cast<uint8_t>(arch::OccupancyLimit::Warps)) {
-        r.fail();
-        return false;
-    }
-    o->limit = static_cast<arch::OccupancyLimit>(limit);
-    o->warpsPerBlock = r.i32();
-    return r.ok();
-}
-
-} // namespace
-
-void
-writeTiming(ByteWriter &w, const timing::TimingResult &t)
-{
-    w.f64(t.cycles);
-    w.f64(t.seconds);
-    w.u64(t.totalOps);
-    w.f64(t.arithBusyCycles);
-    w.f64(t.sharedBusyCycles);
-    w.f64(t.portBusyCycles);
-    w.u64(t.texHits);
-    w.u64(t.texMisses);
-    writeOccupancy(w, t.occupancy);
-}
-
-bool
-readTiming(ByteReader &r, timing::TimingResult *t)
-{
-    t->cycles = r.f64();
-    t->seconds = r.f64();
-    t->totalOps = r.u64();
-    t->arithBusyCycles = r.f64();
-    t->sharedBusyCycles = r.f64();
-    t->portBusyCycles = r.f64();
-    t->texHits = r.u64();
-    t->texMisses = r.u64();
-    return readOccupancy(r, &t->occupancy);
-}
-
-namespace {
-
-void
-writeInput(ByteWriter &w, const model::ModelInput &in)
-{
-    w.u64(in.stages.size());
-    for (const model::StageInput &s : in.stages) {
-        for (uint64_t c : s.typeCounts)
-            w.u64(c);
-        w.u64(s.madCount);
-        w.u64(s.totalWarpInstrs);
-        w.u64(s.sharedTransactions);
-        w.u64(s.sharedTransactionsIdeal);
-        w.u64(s.sharedBytes);
-        w.u64(s.globalTransactions);
-        w.u64(s.globalBytes);
-        w.u64(s.globalRequestBytes);
-        w.f64(s.effective64Xacts);
-        w.f64(s.activeWarpsPerSm);
-    }
-    w.i32(in.gridDim);
-    w.i32(in.blockDim);
-    writeOccupancy(w, in.occupancy);
-    w.i32(in.concurrentBlocksPerSm);
-    w.b(in.stagesSerialized);
-}
-
-bool
-readInput(ByteReader &r, model::ModelInput *in)
-{
-    const uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-        model::StageInput s;
-        for (uint64_t &c : s.typeCounts)
-            c = r.u64();
-        s.madCount = r.u64();
-        s.totalWarpInstrs = r.u64();
-        s.sharedTransactions = r.u64();
-        s.sharedTransactionsIdeal = r.u64();
-        s.sharedBytes = r.u64();
-        s.globalTransactions = r.u64();
-        s.globalBytes = r.u64();
-        s.globalRequestBytes = r.u64();
-        s.effective64Xacts = r.f64();
-        s.activeWarpsPerSm = r.f64();
-        in->stages.push_back(s);
-    }
-    in->gridDim = r.i32();
-    in->blockDim = r.i32();
-    if (!readOccupancy(r, &in->occupancy))
-        return false;
-    in->concurrentBlocksPerSm = r.i32();
-    in->stagesSerialized = r.b();
-    return r.ok();
-}
-
-bool
-readComponent(ByteReader &r, model::Component *c)
-{
-    const uint8_t v = r.u8();
-    if (v > static_cast<uint8_t>(model::Component::kGlobal)) {
-        r.fail();
-        return false;
-    }
-    *c = static_cast<model::Component>(v);
-    return true;
-}
-
-void
-writeMetrics(ByteWriter &w, const model::ReportMetrics &m)
-{
-    w.f64(m.computationalDensity);
-    w.f64(m.bankConflictFactor);
-    w.f64(m.coalescingEfficiency);
-    w.f64(m.avgActiveWarpsPerBlock);
-}
-
-bool
-readMetrics(ByteReader &r, model::ReportMetrics *m)
-{
-    m->computationalDensity = r.f64();
-    m->bankConflictFactor = r.f64();
-    m->coalescingEfficiency = r.f64();
-    m->avgActiveWarpsPerBlock = r.f64();
-    return r.ok();
-}
-
-} // namespace
-
-void
-writeStats(ByteWriter &w, const funcsim::DynamicStats &stats)
-{
-    w.u64(stats.stages.size());
-    for (const funcsim::StageStats &s : stats.stages)
-        writeStage(w, s);
-    w.i32(stats.gridDim);
-    w.i32(stats.blockDim);
-    w.i32(stats.warpsPerBlock);
-    w.i32(stats.barriersPerBlock);
-    w.i32(stats.sampledBlocks);
-}
-
-bool
-readStats(ByteReader &r, funcsim::DynamicStats *stats)
-{
-    const uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-        funcsim::StageStats s;
-        if (!readStage(r, &s))
-            return false;
-        stats->stages.push_back(std::move(s));
-    }
-    stats->gridDim = r.i32();
-    stats->blockDim = r.i32();
-    stats->warpsPerBlock = r.i32();
-    stats->barriersPerBlock = r.i32();
-    stats->sampledBlocks = r.i32();
-    return r.ok();
-}
-
-void
-writeTrace(ByteWriter &w, const funcsim::LaunchTrace &trace)
-{
-    w.u64(trace.pool.size());
-    for (const funcsim::WarpTrace &wt : trace.pool) {
-        w.u64(wt.ops.size());
-        for (const funcsim::TraceOp &op : wt.ops)
-            writeTraceOp(w, op);
-        w.u64(wt.texLines.size());
-        for (uint32_t line : wt.texLines)
-            w.u32(line);
-    }
-    w.u64(trace.blocks.size());
-    for (const funcsim::BlockTrace &b : trace.blocks) {
-        w.u64(b.warpTraceIdx.size());
-        for (int idx : b.warpTraceIdx)
-            w.i32(idx);
-    }
-    w.i32(trace.blockDim);
-    w.i32(trace.warpsPerBlock);
-    w.i32(trace.registersPerThread);
-    w.i32(trace.sharedBytesPerBlock);
-}
-
-bool
-readTrace(ByteReader &r, funcsim::LaunchTrace *trace)
-{
-    const uint64_t pool = r.u64();
-    for (uint64_t i = 0; i < pool && r.ok(); ++i) {
-        funcsim::WarpTrace wt;
-        const uint64_t ops = r.u64();
-        for (uint64_t j = 0; j < ops && r.ok(); ++j) {
-            funcsim::TraceOp op;
-            if (!readTraceOp(r, &op))
-                return false;
-            wt.ops.push_back(op);
-        }
-        const uint64_t lines = r.u64();
-        for (uint64_t j = 0; j < lines && r.ok(); ++j)
-            wt.texLines.push_back(r.u32());
-        trace->pool.push_back(std::move(wt));
-    }
-    const uint64_t blocks = r.u64();
-    for (uint64_t i = 0; i < blocks && r.ok(); ++i) {
-        funcsim::BlockTrace b;
-        const uint64_t warps = r.u64();
-        for (uint64_t j = 0; j < warps && r.ok(); ++j) {
-            const int idx = r.i32();
-            if (idx < 0 ||
-                static_cast<size_t>(idx) >= trace->pool.size()) {
-                r.fail();
-                return false;
-            }
-            b.warpTraceIdx.push_back(idx);
-        }
-        trace->blocks.push_back(std::move(b));
-    }
-    trace->blockDim = r.i32();
-    trace->warpsPerBlock = r.i32();
-    trace->registersPerThread = r.i32();
-    trace->sharedBytesPerBlock = r.i32();
-    return r.ok();
-}
-
 void
 writeProfile(ByteWriter &w, const funcsim::KernelProfile &profile)
 {
-    writeKey(w, profile.key);
-    w.str(profile.kernelName);
-    w.i32(profile.resources.registersPerThread);
-    w.i32(profile.resources.sharedBytesPerBlock);
-    w.i32(profile.resources.threadsPerBlock);
-    writeStats(w, profile.stats);
-    writeTrace(w, profile.trace);
+    schema::write(w, profile);
 }
 
 bool
 readProfile(ByteReader &r, funcsim::KernelProfile *profile)
 {
-    if (!readKey(r, &profile->key))
-        return false;
-    profile->kernelName = r.str();
-    profile->resources.registersPerThread = r.i32();
-    profile->resources.sharedBytesPerBlock = r.i32();
-    profile->resources.threadsPerBlock = r.i32();
-    return readStats(r, &profile->stats) &&
-           readTrace(r, &profile->trace);
+    return schema::read(r, profile);
+}
+
+void
+writeTiming(ByteWriter &w, const timing::TimingResult &t)
+{
+    schema::write(w, t);
+}
+
+bool
+readTiming(ByteReader &r, timing::TimingResult *t)
+{
+    return schema::read(r, t);
 }
 
 void
 writeTables(ByteWriter &w, const model::CalibrationTables &tables)
 {
-    w.i32(tables.maxWarps);
-    w.i32(tables.bytesPerPass);
-    for (const std::vector<double> &t : tables.instrThroughput) {
-        w.u64(t.size());
-        for (double v : t)
-            w.f64(v);
-    }
-    w.u64(tables.sharedPassThroughput.size());
-    for (double v : tables.sharedPassThroughput)
-        w.f64(v);
+    schema::write(w, tables);
 }
 
 bool
 readTables(ByteReader &r, model::CalibrationTables *tables)
 {
-    tables->maxWarps = r.i32();
-    tables->bytesPerPass = r.i32();
-    if (tables->maxWarps <= 0 || tables->maxWarps > 1024) {
-        r.fail();
-        return false;
-    }
-    for (std::vector<double> &t : tables->instrThroughput) {
-        const uint64_t n = r.u64();
-        for (uint64_t i = 0; i < n && r.ok(); ++i)
-            t.push_back(r.f64());
-    }
-    const uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n && r.ok(); ++i)
-        tables->sharedPassThroughput.push_back(r.f64());
-    return r.ok();
+    return schema::read(r, tables);
 }
 
 uint64_t
@@ -447,73 +47,6 @@ tablesDigest(const model::CalibrationTables &tables)
     ByteWriter w;
     writeTables(w, tables);
     return fnv1a64(w.bytes());
-}
-
-void
-writePrediction(ByteWriter &w, const model::Prediction &p)
-{
-    w.u64(p.stages.size());
-    for (const model::StagePrediction &s : p.stages) {
-        w.f64(s.tInstr);
-        w.f64(s.tShared);
-        w.f64(s.tGlobal);
-        w.u8(static_cast<uint8_t>(s.bottleneck));
-        w.f64(s.stageTime);
-        w.f64(s.activeWarpsPerSm);
-        w.f64(s.sharedBandwidth);
-    }
-    w.b(p.serialized);
-    w.f64(p.tInstrTotal);
-    w.f64(p.tSharedTotal);
-    w.f64(p.tGlobalTotal);
-    w.f64(p.totalSeconds);
-    w.u8(static_cast<uint8_t>(p.bottleneck));
-    w.u8(static_cast<uint8_t>(p.nextBottleneck));
-}
-
-bool
-readPrediction(ByteReader &r, model::Prediction *p)
-{
-    const uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-        model::StagePrediction s;
-        s.tInstr = r.f64();
-        s.tShared = r.f64();
-        s.tGlobal = r.f64();
-        if (!readComponent(r, &s.bottleneck))
-            return false;
-        s.stageTime = r.f64();
-        s.activeWarpsPerSm = r.f64();
-        s.sharedBandwidth = r.f64();
-        p->stages.push_back(s);
-    }
-    p->serialized = r.b();
-    p->tInstrTotal = r.f64();
-    p->tSharedTotal = r.f64();
-    p->tGlobalTotal = r.f64();
-    p->totalSeconds = r.f64();
-    return readComponent(r, &p->bottleneck) &&
-           readComponent(r, &p->nextBottleneck) && r.ok();
-}
-
-void
-writeAnalysis(ByteWriter &w, const model::Analysis &analysis)
-{
-    writeStats(w, analysis.measurement.stats);
-    writeTiming(w, analysis.measurement.timing);
-    writeInput(w, analysis.input);
-    writePrediction(w, analysis.prediction);
-    writeMetrics(w, analysis.metrics);
-}
-
-bool
-readAnalysis(ByteReader &r, model::Analysis *analysis)
-{
-    return readStats(r, &analysis->measurement.stats) &&
-           readTiming(r, &analysis->measurement.timing) &&
-           readInput(r, &analysis->input) &&
-           readPrediction(r, &analysis->prediction) &&
-           readMetrics(r, &analysis->metrics);
 }
 
 } // namespace store

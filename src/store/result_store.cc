@@ -1,6 +1,5 @@
 #include "store/result_store.h"
 
-#include "store/codecs.h"
 #include "store/lifecycle/segment.h"
 #include "store/serializer.h"
 
@@ -10,43 +9,13 @@ namespace store {
 void
 writeBatchResult(ByteWriter &w, const driver::BatchResult &r)
 {
-    w.str(r.kernelName);
-    w.str(r.specName);
-    writeAnalysis(w, r.analysis);
-    w.u64(r.whatifs.size());
-    for (const driver::RankedWhatIf &wi : r.whatifs) {
-        w.u8(static_cast<uint8_t>(wi.point.kind));
-        w.f64(wi.point.value);
-        writePrediction(w, wi.result.before);
-        writePrediction(w, wi.result.after);
-    }
+    schema::write(w, r);
 }
 
 bool
 readBatchResult(ByteReader &r, driver::BatchResult *result)
 {
-    result->kernelName = r.str();
-    result->specName = r.str();
-    if (!readAnalysis(r, &result->analysis))
-        return false;
-    const uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-        driver::RankedWhatIf wi;
-        const uint8_t kind = r.u8();
-        if (kind > static_cast<uint8_t>(
-                       driver::SweepPoint::Kind::kCoalescingFraction)) {
-            r.fail();
-            return false;
-        }
-        wi.point.kind = static_cast<driver::SweepPoint::Kind>(kind);
-        wi.point.value = r.f64();
-        if (!readPrediction(r, &wi.result.before) ||
-            !readPrediction(r, &wi.result.after)) {
-            return false;
-        }
-        result->whatifs.push_back(std::move(wi));
-    }
-    return r.ok();
+    return schema::read(r, result);
 }
 
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir))

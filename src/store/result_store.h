@@ -20,6 +20,8 @@
 #include <string>
 
 #include "driver/batch_runner.h"
+#include "store/codecs.h"
+#include "store/fields.h"
 #include "store/serializer.h"
 #include "store/stats.h"
 
@@ -29,8 +31,8 @@ namespace store {
 /**
  * The payload half of a finished batch cell — names, analysis and
  * ranked what-ifs. ok/error are NOT encoded: the result store only
- * persists successes (its load() re-stamps ok), while the api layer
- * wraps this with its own ok/error framing for failed cells.
+ * persists successes (its load() re-stamps ok), while the api
+ * response codec adds them (see fields(driver::BatchResult) below).
  * Declared here rather than store/codecs.h so the generic codec
  * header stays below the driver layer.
  */
@@ -76,6 +78,63 @@ class ResultStore
 };
 
 } // namespace store
+
+namespace schema {
+
+// --- Field lists of a batch cell (see store/fields.h) ----------------
+
+template <>
+struct EnumTraits<driver::SweepPoint::Kind>
+{
+    static constexpr driver::SweepPoint::Kind kLast =
+        driver::SweepPoint::Kind::kCoalescingFraction;
+    static constexpr const char *kWhat = "what-if kind";
+    static constexpr const char *kNames[] = {
+        "no-bank-conflicts", "warps-per-sm", "coalescing-fraction"};
+};
+
+template <class V>
+void
+fields(V &v, driver::SweepPoint &x)
+{
+    v("kind", x.kind);
+    v("value", x.value);
+}
+
+template <class V>
+void
+fields(V &v, model::WhatIfResult &x)
+{
+    v("before", x.before);
+    v("after", x.after);
+}
+
+template <class V>
+void
+fields(V &v, driver::RankedWhatIf &x)
+{
+    v.splice(x.point);
+    v.splice(x.result);
+}
+
+/**
+ * The cell wrapper: ok/error lead a cell in the binary response
+ * (visitors built with cellStatus), follow kernel/spec in JSON, and
+ * are absent from result-store entries.
+ */
+template <class V>
+void
+fields(V &v, driver::BatchResult &x)
+{
+    v.status(StatusSlot::kLeading, x.ok, x.error);
+    v("kernel", x.kernelName);
+    v("spec", x.specName);
+    v.status(StatusSlot::kAfterNames, x.ok, x.error);
+    v("analysis", x.analysis);
+    v("whatifs", x.whatifs);
+}
+
+} // namespace schema
 } // namespace gpuperf
 
 #endif // GPUPERF_STORE_RESULT_STORE_H

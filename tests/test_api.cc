@@ -502,6 +502,48 @@ TEST(ResponseCodecTest, JsonRoundTripIsExactIncludingNonFinite)
     EXPECT_EQ(responseToJson(back), text);
 }
 
+TEST(ResponseCodecTest, MalformedNumbersAreRejectedNotWrapped)
+{
+    const std::string text = responseToJson(syntheticResponse());
+    const auto replaced = [&text](const std::string &from,
+                                  const std::string &to, size_t at) {
+        const size_t pos = text.find(from, at);
+        EXPECT_NE(pos, std::string::npos) << from;
+        std::string out = text;
+        if (pos != std::string::npos)
+            out.replace(pos, from.size(), to);
+        return out;
+    };
+    struct Case
+    {
+        const char *what;
+        std::string json;
+    };
+    const Case cases[] = {
+        // A sign used to wrap to 2^64-1, an overflow to saturate.
+        {"negative u64 string",
+         replaced("\"madCount\": \"7\"", "\"madCount\": \"-1\"", 0)},
+        {"u64 string above 2^64",
+         replaced("\"madCount\": \"7\"",
+                  "\"madCount\": \"99999999999999999999999\"", 0)},
+        {"u64 string with a plus sign",
+         replaced("\"madCount\": \"7\"", "\"madCount\": \"+7\"", 0)},
+        {"u64 string with leading whitespace",
+         replaced("\"madCount\": \"7\"", "\"madCount\": \" 7\"", 0)},
+        // A transaction size must pass the i32 range check before
+        // its cast (float-cast-overflow under the sanitizers).
+        {"globalXactBySize size beyond int",
+         replaced("32,", "1e300,", text.find("\"globalXactBySize\""))},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        AnalysisResponse back;
+        std::string error;
+        EXPECT_FALSE(responseFromJson(c.json, &back, &error));
+        EXPECT_FALSE(error.empty());
+    }
+}
+
 // --- Registry ---------------------------------------------------------
 
 TEST(RegistryTest, BuiltinsResolveAndValidate)
