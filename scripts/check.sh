@@ -155,10 +155,32 @@ run_api_smoke() {
     echo "api-smoke: spool-worker response identical to the in-process run"
 }
 
+# The poison leg of the serve and fleet smokes: the committed
+# divergent-barrier request (tests/fixtures/) sent through VIA must
+# come back with its one cell failed — `gpuperf-worker run` exits 2 —
+# carrying the simulator's message.
+run_poison_leg() {
+    local SMOKE="$1"
+    local VIA="$2"
+    local RC=0
+    "$BUILD_DIR/gpuperf-worker" run \
+        tests/fixtures/poison-divergent-barrier.json \
+        --out "$SMOKE/response-poison.json" --via "$VIA" \
+        > "$SMOKE/client-poison.log" 2>&1 || RC=$?
+    if [[ "$RC" != 2 ]] ||
+       ! grep -q "divergent" "$SMOKE/response-poison.json"; then
+        echo "poison leg: expected one failed 'divergent' cell (exit 2)," \
+             "got exit $RC" >&2
+        cat "$SMOKE/client-poison.log" >&2
+        return 1
+    fi
+}
+
 # Socket-server end-to-end: one gpuperf-serve daemon (Unix socket +
 # ephemeral TCP), 4 concurrent Unix clients and one TCP client, all
 # running the same demo request against per-client stores; every
-# response must be byte-identical to an in-process run. SIGTERM at the
+# response must be byte-identical to an in-process run. A poison
+# request goes first and must fail only its own cell. SIGTERM at the
 # end exercises the graceful-drain shutdown path.
 run_serve_smoke() {
     local SMOKE="$BUILD_DIR/serve-smoke"
@@ -187,6 +209,13 @@ run_serve_smoke() {
         --store "$SMOKE/store-ref"
     "$W" run "$SMOKE/request-ref.json" --out "$SMOKE/response-ref.json"
 
+    run_poison_leg "$SMOKE" "unix:$SOCK"
+    kill -0 "$SERVE_PID" || {
+        echo "serve-smoke: daemon died on the poison request" >&2
+        cat "$SMOKE/serve.log" >&2
+        return 1
+    }
+
     local PIDS=()
     for i in 1 2 3 4; do
         "$W" demo-request --out "$SMOKE/request-$i.json" \
@@ -213,19 +242,24 @@ run_serve_smoke() {
 
     kill -TERM "$SERVE_PID"
     wait "$SERVE_PID"
-    grep -q "served" "$SMOKE/serve.log" || {
-        echo "serve-smoke: daemon did not shut down gracefully" >&2
+    grep -q "served .* (1 failed)" "$SMOKE/serve.log" || {
+        echo "serve-smoke: daemon did not shut down gracefully with" \
+             "exactly the poison cell failed" >&2
         cat "$SMOKE/serve.log" >&2
         return 1
     }
-    echo "serve-smoke: 5 concurrent socket clients byte-identical to the in-process run"
+    echo "serve-smoke: poison cell failed alone; 5 concurrent socket clients byte-identical to the in-process run"
 }
 
 # Fleet-dispatch end-to-end: one gpuperf-serve daemon with a SHARED
 # store, two registered fleet workers, two concurrent clients. One
 # worker is SIGKILLed while requests are in flight: the dispatcher
 # must steal its cells back and re-dispatch, and both clients' JSON
-# responses must stay byte-identical to an in-process run.
+# responses must stay byte-identical to an in-process run. Before the
+# clients, a poison request must fail its own cell on a worker with
+# the daemon and both workers still up — a worker death would be the
+# only cause of a re-dispatch, so the one death the final stats may
+# show is the murdered worker's.
 run_fleet_smoke() {
     local SMOKE="$BUILD_DIR/fleet-smoke"
     local W="$BUILD_DIR/gpuperf-worker"
@@ -257,6 +291,13 @@ run_fleet_smoke() {
     "$W" demo-request --out "$SMOKE/request-ref.json" \
         --store "$SMOKE/store-ref"
     "$W" run "$SMOKE/request-ref.json" --out "$SMOKE/response-ref.json"
+
+    run_poison_leg "$SMOKE" "unix:$SOCK"
+    kill -0 "$SERVE_PID" "$WORKER1_PID" "$WORKER2_PID" || {
+        echo "fleet-smoke: the poison request killed a process" >&2
+        cat "$SMOKE/serve.log" "$SMOKE"/worker-*.log >&2
+        return 1
+    }
 
     "$W" demo-request --out "$SMOKE/request.json"
     local PIDS=()
@@ -294,7 +335,15 @@ run_fleet_smoke() {
         cat "$SMOKE/serve.log" >&2
         return 1
     }
-    echo "fleet-smoke: 2 clients over a 2-worker fleet (1 killed mid-run) byte-identical to the in-process run"
+    # The poison cell ran on the fleet, and it is the only failure.
+    grep -q '"requests_local_fallback": 0' "$SMOKE/serve.log" &&
+        grep -q '"failed_cells": 1,' "$SMOKE/serve.log" || {
+        echo "fleet-smoke: expected exactly the poison cell to fail," \
+             "on a fleet worker" >&2
+        cat "$SMOKE/serve.log" >&2
+        return 1
+    }
+    echo "fleet-smoke: poison cell failed alone on the fleet; 2 clients over a 2-worker fleet (1 killed mid-run) byte-identical to the in-process run"
 }
 
 # Scheduling-policy end-to-end: an SJF daemon with a shared store and

@@ -31,98 +31,18 @@ schemaError(uint32_t version)
 }
 
 /**
- * Wire bounds for an inline launch's memory geometry. The lower
- * bound mirrors funcsim::GlobalMemory's constructor (which fatal()s
- * below 512 B — a process abort the wire path must never reach); the
- * upper bound stops a forged job from asking the worker to
- * zero-allocate terabytes.
+ * Wire bounds for an inline launch's memory geometry: the image must
+ * cover the never-allocated 256-byte head and fit the capacity (what
+ * InlineLaunch::rebuildMemory() assumes), and the capacity is capped
+ * so a forged job cannot make the worker zero-allocate terabytes.
  */
 bool
 memoryGeometryValid(uint64_t capacity, size_t image_bytes)
 {
     constexpr uint64_t kMaxCapacity = uint64_t{1} << 32; // 4 GiB
-    return capacity >= 512 && capacity <= kMaxCapacity &&
-           image_bytes >= 256 && image_bytes <= capacity;
+    return capacity <= kMaxCapacity && image_bytes >= 256 &&
+           image_bytes <= capacity;
 }
-
-/**
- * Wire-side mirror of isa::Kernel's structural validation
- * (validateAndIndex), returning a message instead of fatal()-ing: a
- * malformed instruction stream from a job file or JSON must fail its
- * request, never abort the worker mid-claim (a crashed worker parks
- * the job for the next worker to crash on). Runs BEFORE the Kernel
- * constructor, which still fatal()s — by then the stream is known
- * good. Empty return = valid. Keep in sync with
- * isa/kernel.cc::validateAndIndex.
- */
-std::string
-kernelStructureError(const std::vector<isa::Instruction> &instrs,
-                     int num_regs, int num_preds)
-{
-    using isa::Opcode;
-    const auto at = [](int pc, const std::string &what) {
-        return "instruction " + std::to_string(pc) + ": " + what;
-    };
-    if (num_regs <= 0)
-        return "kernel needs at least one register";
-    const int n = static_cast<int>(instrs.size());
-    std::vector<Opcode> stack;
-    for (int pc = 0; pc < n; ++pc) {
-        const isa::Instruction &inst = instrs[pc];
-        switch (inst.op) {
-          case Opcode::kIf:
-            if (inst.pred == isa::kNoPred)
-                return at(pc, "IF without a guard predicate");
-            stack.push_back(Opcode::kIf);
-            break;
-          case Opcode::kElse:
-            if (stack.empty() || stack.back() != Opcode::kIf)
-                return at(pc, "ELSE without an open IF");
-            // One ELSE per IF: mark the frame as "in else".
-            stack.back() = Opcode::kElse;
-            break;
-          case Opcode::kEndif:
-            if (stack.empty() || (stack.back() != Opcode::kIf &&
-                                  stack.back() != Opcode::kElse))
-                return at(pc, "ENDIF without an open IF");
-            stack.pop_back();
-            break;
-          case Opcode::kLoop:
-            stack.push_back(Opcode::kLoop);
-            break;
-          case Opcode::kBrk:
-            if (inst.pred == isa::kNoPred)
-                return at(pc, "BRK without a guard predicate");
-            if (stack.empty() || stack.back() != Opcode::kLoop)
-                return at(pc, "BRK not directly inside a LOOP");
-            break;
-          case Opcode::kEndloop:
-            if (stack.empty() || stack.back() != Opcode::kLoop)
-                return at(pc, "ENDLOOP without an open LOOP");
-            stack.pop_back();
-            break;
-          case Opcode::kExit:
-            if (pc != n - 1)
-                return at(pc, "EXIT before the last instruction");
-            break;
-          default:
-            break;
-        }
-        if (isa::writesRegister(inst.op) &&
-            (inst.dst == isa::kNoReg || inst.dst >= num_regs))
-            return at(pc, "destination register out of range");
-        if (isa::writesPredicate(inst.op) && inst.pred >= num_preds)
-            return at(pc, "destination predicate out of range");
-        for (isa::Reg s : inst.src) {
-            if (s != isa::kNoReg && s >= num_regs)
-                return at(pc, "source register out of range");
-        }
-    }
-    if (!stack.empty())
-        return "unterminated control structures";
-    return std::string();
-}
-
 
 } // namespace
 } // namespace api
@@ -202,9 +122,9 @@ fields(V &v, isa::Instruction &x)
 }
 
 /**
- * isa::Kernel's wire shape. The reader validates the stream before it
- * builds the Kernel, whose constructor fatal()s on a malformed one: a
- * forged job must fail its read, never abort the worker.
+ * isa::Kernel's wire shape. The reader builds the Kernel itself, so
+ * the constructor's structural rules decide: their SimError becomes
+ * the read's check message, never an exception out of the decoder.
  */
 template <class V>
 void
@@ -226,17 +146,16 @@ fields(V &v, isa::Kernel &k)
     v("predicates", preds);
     v("sharedBytes", shared);
     v("instructions", instrs, api::kMaxInstructions);
-    v.check([&]() -> std::string {
-        if (regs < 0 || preds < 0 || shared < 0)
-            return "kernel resources must be non-negative";
-        const std::string error =
-            api::kernelStructureError(instrs, regs, preds);
-        return error.empty() ? error : "kernel '" + name + "': " + error;
-    });
     if constexpr (V::kReads) {
-        if (v.ok())
-            k = isa::Kernel(std::move(name), std::move(instrs), regs,
-                            preds, shared);
+        v.check([&]() -> std::string {
+            try {
+                k = isa::Kernel(std::move(name), std::move(instrs), regs,
+                                preds, shared);
+            } catch (const SimError &e) {
+                return e.what();
+            }
+            return "";
+        });
     }
 }
 

@@ -38,60 +38,6 @@ materializeAll(const AnalysisRequest &req)
     return cases;
 }
 
-/**
- * The wire-input mirror of arch::GpuSpec::validate(): the same rules
- * (plus positivity of every field the simulators divide by), but
- * THROWING instead of fatal()-exiting. A malformed spec from a spool
- * job or JSON request must fail that request, never crash the
- * service — and in spool mode a crash would park the job for the
- * next worker to crash on.
- */
-void
-validateSpec(const arch::GpuSpec &s)
-{
-    const auto bad = [&s](const std::string &what) {
-        throw std::runtime_error("spec '" + s.name + "': " + what);
-    };
-    if (s.numSms <= 0 || s.smsPerCluster <= 0 ||
-        s.numSms % s.smsPerCluster != 0)
-        bad("SM count not divisible into clusters");
-    if (s.spsPerSm <= 0 || s.sfuMulPerSm < 0 || s.sfuPerSm < 0 ||
-        s.dpPerSm < 0)
-        bad("bad functional-unit counts");
-    if (s.coalesceGroup <= 0 || s.warpSize <= 0 ||
-        s.warpSize % s.coalesceGroup != 0)
-        bad("warp size not a multiple of the coalescing group");
-    if (s.minSegmentBytes <= 0 ||
-        s.maxSegmentBytes < s.minSegmentBytes ||
-        (s.minSegmentBytes & (s.minSegmentBytes - 1)) != 0)
-        bad("bad segment sizes");
-    if (s.numSharedBanks <= 0 || s.sharedBankWidth <= 0 ||
-        s.sharedIssueGroup <= 0)
-        bad("bad shared-memory organization");
-    // !(x > 0) also rejects NaN clocks (JSON can carry "nan").
-    if (!(s.coreClockHz > 0) || !(s.memClockHz > 0) ||
-        s.busWidthBits <= 0)
-        bad("bad clocks or bus width");
-    if (s.registersPerSm < 0 || s.sharedMemPerSm < 0 ||
-        s.maxThreadsPerSm <= 0 || s.maxThreadsPerBlock <= 0 ||
-        s.maxBlocksPerSm <= 0 || s.maxWarpsPerSm <= 0 ||
-        s.registerAllocUnit <= 0 || s.sharedAllocUnit <= 0 ||
-        s.sharedStaticPerBlock < 0)
-        bad("bad per-SM resource ceilings");
-    if (s.maxWarpsPerSm * s.warpSize < s.maxThreadsPerSm)
-        bad("warp ceiling cannot cover thread ceiling");
-    if (s.aluDepCycles < 0 || s.sharedDepCycles < 0 ||
-        !(s.warpSharedPassIntervalCycles >= 0) ||
-        s.globalLatencyCycles < 0 || s.transactionOverheadCycles < 0 ||
-        !(s.issueOverheadCycles >= 0))
-        bad("bad timing parameters");
-    if (s.textureCacheEnabled &&
-        (s.textureCacheBytesPerCluster <= 0 ||
-         s.textureCacheLineBytes <= 0 || s.textureCacheWays <= 0 ||
-         s.textureHitLatencyCycles < 0))
-        bad("bad texture-cache parameters");
-}
-
 } // namespace
 
 void
@@ -104,11 +50,9 @@ validateRequest(const AnalysisRequest &req)
             " is not supported (expected " +
             std::to_string(kSchemaVersion) + ")");
     }
-    // Specs first: the inline-launch checks below compare against
-    // spec ceilings, which must themselves be sane to blame the
-    // right party.
+    // Specs first: the launch rules below read spec ceilings.
     for (const arch::GpuSpec &spec : req.specs)
-        validateSpec(spec);
+        spec.validate();
     for (const KernelJob &job : req.kernels) {
         if (!job.isInline() && job.ref.factory.empty()) {
             throw std::runtime_error(
@@ -117,31 +61,21 @@ validateRequest(const AnalysisRequest &req)
         }
         if (!job.isInline())
             continue;
-        // Inline launches carry their shape on the wire; the checks
-        // the simulators enforce with fatal() must be re-validated
-        // here as throws — against every spec of the request, since
-        // the per-spec launch-ceiling revalidation is fatal() too.
+        // An inline launch carries its shape on the wire: reject it
+        // up front under every spec of the request.
         const InlineLaunch &in = *job.inlined;
-        const auto bad = [&job](const std::string &what) {
-            throw std::runtime_error("inline job '" + job.name +
-                                     "': " + what);
-        };
-        if (in.cfg.gridDim <= 0 || in.cfg.blockDim <= 0)
-            bad("empty grid");
-        if (int64_t{in.cfg.gridDim} * in.cfg.blockDim >
-            (int64_t{1} << 32))
-            bad("launch is unreasonably large");
-        if (in.options.sampleBlocks <= 0)
-            bad("sampleBlocks must be positive");
         for (const arch::GpuSpec &spec : req.specs) {
-            if (in.cfg.blockDim > spec.maxThreadsPerBlock)
-                bad("block of " + std::to_string(in.cfg.blockDim) +
-                    " threads exceeds spec '" + spec.name +
-                    "' ceiling of " +
-                    std::to_string(spec.maxThreadsPerBlock));
-            if (in.kernel.sharedBytes() > spec.sharedMemPerSm)
-                bad("shared memory exceeds spec '" + spec.name +
-                    "' SM capacity");
+            funcsim::checkLaunch(in.kernel.name(), in.cfg,
+                                 in.kernel.sharedBytes(),
+                                 in.options.sampleBlocks, spec);
+        }
+        // Wire-only cap: no simulator rule bounds the thread count,
+        // but a forged launch must not make the worker allocate for
+        // billions of threads.
+        if (int64_t{in.cfg.gridDim} * in.cfg.blockDim >
+            (int64_t{1} << 32)) {
+            throw std::runtime_error("inline job '" + job.name +
+                                     "': launch is unreasonably large");
         }
     }
 }

@@ -176,9 +176,12 @@ class AnalysisService
 AnalysisResponse makeResponseShell(const AnalysisRequest &req);
 
 /**
- * Validate @p req (schema version, job bodies present, positive
- * shapes). Throws std::runtime_error on violations. Executed by
- * AnalysisService::execute and the spool submitter.
+ * Validate @p req: the schema version, a body for every job, each
+ * spec's rules (arch::GpuSpec::validate) and each inline launch's
+ * rules under every spec (funcsim::checkLaunch), plus the wire-only
+ * thread cap. Throws std::runtime_error — SimError for a spec or
+ * launch rule. Executed by AnalysisService::execute, the dispatcher
+ * and the spool submitter and collector.
  */
 void validateRequest(const AnalysisRequest &req);
 

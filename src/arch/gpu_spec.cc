@@ -1,5 +1,6 @@
 #include "arch/gpu_spec.h"
 
+#include <cstdint>
 #include <cstdio>
 
 #include "common/logging.h"
@@ -30,23 +31,50 @@ GpuSpec::clusterBytesPerCycle() const
 void
 GpuSpec::validate() const
 {
+    // Divisors first: the rules after these may divide by them.
     if (numSms <= 0 || smsPerCluster <= 0 || numSms % smsPerCluster != 0)
         fatal("GpuSpec '%s': SM count %d not divisible into clusters of %d",
               name.c_str(), numSms, smsPerCluster);
-    if (warpSize <= 0 || warpSize % coalesceGroup != 0)
+    if (warpSize <= 0 || coalesceGroup <= 0 || warpSize % coalesceGroup != 0)
         fatal("GpuSpec '%s': warp size %d not a multiple of the coalescing "
               "group %d", name.c_str(), warpSize, coalesceGroup);
+    if (warpSize > kMaxWarpLanes)
+        fatal("GpuSpec '%s': warp size %d exceeds the %d-lane limit",
+              name.c_str(), warpSize, kMaxWarpLanes);
     if (minSegmentBytes <= 0 || maxSegmentBytes < minSegmentBytes)
         fatal("GpuSpec '%s': bad segment sizes [%d, %d]", name.c_str(),
               minSegmentBytes, maxSegmentBytes);
     if ((minSegmentBytes & (minSegmentBytes - 1)) != 0)
         fatal("GpuSpec '%s': minimum segment size %d not a power of two",
               name.c_str(), minSegmentBytes);
-    if (numSharedBanks <= 0)
-        fatal("GpuSpec '%s': need at least one shared bank", name.c_str());
-    if (maxWarpsPerSm * warpSize < maxThreadsPerSm)
+    if (numSharedBanks <= 0 || sharedBankWidth <= 0 || sharedIssueGroup <= 0)
+        fatal("GpuSpec '%s': bad shared-memory organization (%d banks, "
+              "%d B wide, issue group %d)", name.c_str(), numSharedBanks,
+              sharedBankWidth, sharedIssueGroup);
+    if (spsPerSm <= 0 || sfuMulPerSm < 0 || sfuPerSm < 0 || dpPerSm < 0)
+        fatal("GpuSpec '%s': bad functional-unit counts", name.c_str());
+    // !(x > 0) also rejects NaN clocks (JSON can carry "nan").
+    if (!(coreClockHz > 0) || !(memClockHz > 0) || busWidthBits <= 0)
+        fatal("GpuSpec '%s': bad clocks or bus width", name.c_str());
+    if (registersPerSm < 0 || sharedMemPerSm < 0 || maxThreadsPerSm <= 0 ||
+        maxThreadsPerBlock <= 0 || maxBlocksPerSm <= 0 ||
+        maxWarpsPerSm <= 0 || registerAllocUnit <= 0 ||
+        sharedAllocUnit <= 0 || sharedStaticPerBlock < 0)
+        fatal("GpuSpec '%s': bad per-SM resource ceilings", name.c_str());
+    if (int64_t{maxWarpsPerSm} * warpSize < maxThreadsPerSm)
         fatal("GpuSpec '%s': warp ceiling %d cannot cover thread ceiling %d",
               name.c_str(), maxWarpsPerSm, maxThreadsPerSm);
+    if (aluDepCycles < 0 || sharedDepCycles < 0 ||
+        !(warpSharedPassIntervalCycles >= 0) || globalLatencyCycles < 0 ||
+        transactionOverheadCycles < 0 || !(issueOverheadCycles >= 0))
+        fatal("GpuSpec '%s': bad timing parameters", name.c_str());
+    // The functional simulator records texture lines even with the
+    // cache disabled, so the line size is always a divisor.
+    if (textureCacheLineBytes <= 0 ||
+        (textureCacheEnabled &&
+         (textureCacheBytesPerCluster <= 0 || textureCacheWays <= 0 ||
+          textureHitLatencyCycles < 0)))
+        fatal("GpuSpec '%s': bad texture-cache parameters", name.c_str());
 }
 
 std::string

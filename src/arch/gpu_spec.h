@@ -18,6 +18,14 @@ namespace gpuperf {
 namespace arch {
 
 /**
+ * Hard upper bound on lanes per warp. The functional simulator's
+ * active masks are uint32_t bitfields and its SoA scratch buffers are
+ * fixed arrays of this size; GpuSpec::validate() rejects wider warps.
+ * This constant is the single place the limit lives.
+ */
+constexpr int kMaxWarpLanes = 32;
+
+/**
  * Static hardware parameters of the modeled GPU.
  *
  * All per-SM resource ceilings from the paper are represented: register
@@ -130,7 +138,10 @@ struct GpuSpec
     /** DRAM bytes per core cycle for one cluster's memory pipeline. */
     double clusterBytesPerCycle() const;
 
-    /** Validate internal consistency; fatal() on user error. */
+    /**
+     * Check every spec rule (positive divisors, ceilings, clocks,
+     * segment and texture geometry); fatal() on the first violation.
+     */
     void validate() const;
 
     /**

@@ -57,8 +57,7 @@ fatal(const char *fmt, ...)
     va_start(ap, fmt);
     std::string msg = vformat(fmt, ap);
     va_end(ap);
-    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
-    std::exit(1);
+    throw SimError(msg);
 }
 
 void

@@ -2,17 +2,20 @@
  * @file
  * Status-message and error-handling helpers.
  *
- * Follows the gem5 convention: panic() is for internal invariant
- * violations (a bug in the simulator itself) and aborts; fatal() is for
- * conditions caused by the user (bad configuration, invalid arguments)
- * and exits cleanly; warn()/inform() report conditions without stopping
- * the simulation.
+ * Follows the gem5 split between bugs and bad input: panic() (and
+ * GPUPERF_ASSERT) is for internal invariant violations — a bug in the
+ * library itself — and aborts; fatal() is for conditions caused by
+ * the input (a bad GpuSpec, launch or kernel, invalid arguments) and
+ * throws SimError, so one bad input fails its own request or batch
+ * cell and the process keeps serving. warn()/inform() report
+ * conditions without stopping the simulation.
  */
 
 #ifndef GPUPERF_COMMON_LOGGING_H
 #define GPUPERF_COMMON_LOGGING_H
 
 #include <cstdarg>
+#include <stdexcept>
 #include <string>
 
 namespace gpuperf {
@@ -33,9 +36,17 @@ LogLevel logLevel();
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/** The error fatal() throws; what() is the formatted message. */
+class SimError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
 /**
- * Report a user-caused unrecoverable error and exit(1).
- * Use for invalid configurations or arguments.
+ * Reject invalid input by throwing SimError with the formatted
+ * message. Use for invalid configurations, launches, kernels or
+ * arguments — never for internal invariants (see panic()).
  */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

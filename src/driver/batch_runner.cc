@@ -185,6 +185,9 @@ requireRepeatableFactory(const KernelCase &kc,
 struct PreparedCase
 {
     funcsim::ProfileKey key;
+    /** What the launch rules read, kept past the launch's discard. */
+    std::string kernelName;
+    int sharedBytes = 0;
     std::mutex mutex;
     std::unique_ptr<PreparedLaunch> launch;  ///< null once consumed
 
@@ -697,7 +700,7 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
             });
     }
 
-    // --- Lazy shared simulation chain: profile(case, funcsim fp) and
+    // --- Lazy shared simulation chain: profile(profile key) and
     // timing(profile key, timing fp) nodes exist only when some cell
     // actually misses the result store. ---
     const auto ensure_profile =
@@ -886,6 +889,9 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                 std::make_unique<PreparedLaunch>(
                                     makeLaunch(*kc));
                             pc->key = profileKeyOf(*pc->launch, *spec);
+                            pc->kernelName = pc->launch->kernel.name();
+                            pc->sharedBytes =
+                                pc->launch->kernel.sharedBytes();
                             pslot->pc = std::move(pc);
                         } catch (...) {
                             pslot->error = std::current_exception();
@@ -905,7 +911,7 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
             graph.add(
                 "cell:" + kc->name + "@" + spec->name,
                 [this, &graph, kc, spec, sslot, pslot, &sweep, index,
-                 deliver, pkey, prep_node, ensure_profile,
+                 deliver, prep_node, ensure_profile,
                  ensure_timing, costed_ready]() {
                     // Exactly-once delivery even if this body throws
                     // somewhere unexpected (allocation, store I/O):
@@ -952,26 +958,31 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                             }
                         }
                     }
-                    auto prof = ensure_profile(pkey, kc, spec, pslot,
-                                               prep_node);
+                    // A profile node simulates under the spec of the
+                    // cell that creates it, so only a spec that
+                    // accepts the launch may create one; a sibling
+                    // spec with a lower ceiling fails in analyze.
+                    funcsim::checkLaunch(pc->kernelName, pc->key.cfg,
+                                         pc->sharedBytes,
+                                         pc->key.sampleBlocks, *spec);
+                    // Profile nodes are keyed by CONTENT, not by
+                    // case: two cases with one profile key must share
+                    // a node, or the second would poll the store
+                    // lease the first holds until its writer node
+                    // runs — which a one-thread pool never reaches.
+                    auto prof = ensure_profile(pc->key.str(), kc, spec,
+                                               pslot, prep_node);
                     TaskGraph::NodeId timing_dep = prof.first;
                     std::shared_ptr<TimingSlot> tslot;
                     if (options_.shareTiming) {
-                        // Node dedup is scoped per PROFILE NODE
-                        // (content key + pkey), not per content key
-                        // alone: a content-only key would wire one
-                        // timing node to one case's profile slot,
-                        // leaking that case's profile failure into a
-                        // different same-content case whose own
-                        // profile succeeded. The replay itself is
-                        // still computed once per content key —
-                        // timingCompute()'s memo dedups across the
-                        // (rare) twin nodes.
+                        // One timing node per content key: profile
+                        // nodes are per content key too, so a timing
+                        // node always reads the one profile slot its
+                        // key names.
                         const std::string tkey =
                             store::TimingStore::keyFor(
                                 pc->key,
-                                arch::TimingFingerprint::of(*spec)) +
-                            "|node=" + pkey;
+                                arch::TimingFingerprint::of(*spec));
                         auto t =
                             ensure_timing(tkey, kc, spec, prof);
                         timing_dep = t.first;

@@ -17,10 +17,11 @@
  *  - one prepare(case, funcsim fp) node running the case's factory
  *    once — producing the profile key every sibling cell shares and
  *    capturing a factory error once for all of them;
- *  - one profile(case, funcsim fp) node per needed profile, so an
- *    N x M batch runs N functional simulations instead of N x M (the
+ *  - one profile(profile key) node per needed profile, so an N x M
+ *    batch runs N functional simulations instead of N x M (the
  *    paper's Section 5 what-if studies, which reuse one Barra run per
- *    application across model variants) — created LAZILY: cells
+ *    application across model variants), cases with equal keys share
+ *    one, and the node is created LAZILY: cells
  *    served warm from the result store never materialize their
  *    simulation nodes at all;
  *  - one timing(profile key, timing fp) node per needed replay;

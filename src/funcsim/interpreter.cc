@@ -160,7 +160,7 @@ class BlockExecutor
           shared_(kernel.sharedBytes()),
           vec_(mode == ExecMode::kVectorized)
     {
-        GPUPERF_ASSERT(spec_.warpSize <= kMaxWarpLanes,
+        GPUPERF_ASSERT(spec_.warpSize <= arch::kMaxWarpLanes,
                        "mask representation limits warps to "
                        "kMaxWarpLanes lanes");
         lanesMask_ = spec_.warpSize == 32
@@ -306,12 +306,12 @@ class BlockExecutor
 
     // Whole-warp scratch rows for the vectorized core. Zero-initialized
     // so lanes masked off since block start still hold defined values.
-    alignas(64) uint32_t immBuf_[kMaxWarpLanes] = {};
-    alignas(64) uint32_t zeroBuf_[kMaxWarpLanes] = {};
-    alignas(64) uint32_t outBuf_[kMaxWarpLanes] = {};
-    alignas(64) uint32_t gatherBuf_[kMaxWarpLanes] = {};
-    alignas(64) uint8_t predBuf_[kMaxWarpLanes] = {};
-    uint64_t addrBuf_[kMaxWarpLanes] = {};
+    alignas(64) uint32_t immBuf_[arch::kMaxWarpLanes] = {};
+    alignas(64) uint32_t zeroBuf_[arch::kMaxWarpLanes] = {};
+    alignas(64) uint32_t outBuf_[arch::kMaxWarpLanes] = {};
+    alignas(64) uint32_t gatherBuf_[arch::kMaxWarpLanes] = {};
+    alignas(64) uint8_t predBuf_[arch::kMaxWarpLanes] = {};
+    uint64_t addrBuf_[arch::kMaxWarpLanes] = {};
     std::vector<memxact::Transaction> xactBuf_;
 };
 
@@ -1253,19 +1253,19 @@ BlockExecutor::run(int block_id, std::vector<StageStats> &stages,
         }
         active.push_back(active_warps);
 
-        // Synchronization integrity: warps must agree on barrier vs done.
+        // Synchronization integrity: every warp now waits at a barrier
+        // or has finished, and those two sets must not both be
+        // non-empty — a finished warp never arrives.
         bool any_barrier = false;
-        bool any_running = false;
-        all_done = true;
+        bool any_done = false;
         for (const auto &w : ws) {
-            if (w.atBarrier && !w.done) {
+            if (w.done)
+                any_done = true;
+            else
                 any_barrier = true;
-                all_done = false;
-            } else if (!w.done) {
-                any_running = true;
-            }
         }
-        if (any_barrier && any_running)
+        all_done = !any_barrier;
+        if (any_barrier && any_done)
             fatal("kernel '%s': warps disagree on barrier %d — some "
                   "finished without reaching it", kernel_.name().c_str(),
                   stageIdx_);
@@ -1291,33 +1291,55 @@ BlockExecutor::run(int block_id, std::vector<StageStats> &stages,
 
 } // namespace
 
+void
+checkLaunch(const std::string &kernel_name, const LaunchConfig &cfg,
+            int shared_bytes, int sample_blocks, const arch::GpuSpec &spec)
+{
+    if (cfg.gridDim <= 0 || cfg.blockDim <= 0)
+        fatal("launch of kernel '%s' has empty grid (%d x %d)",
+              kernel_name.c_str(), cfg.gridDim, cfg.blockDim);
+    if (cfg.blockDim > spec.maxThreadsPerBlock)
+        fatal("kernel '%s': block of %d threads exceeds the %d-thread "
+              "block ceiling", kernel_name.c_str(), cfg.blockDim,
+              spec.maxThreadsPerBlock);
+    if (shared_bytes > spec.sharedMemPerSm)
+        fatal("kernel '%s': %d B shared memory exceeds the %d B SM "
+              "capacity", kernel_name.c_str(), shared_bytes,
+              spec.sharedMemPerSm);
+    if (sample_blocks <= 0)
+        fatal("kernel '%s': sampleBlocks must be positive (got %d)",
+              kernel_name.c_str(), sample_blocks);
+}
+
+namespace {
+
+/** @p spec, once it passes validate(): members built from it see a
+ *  sane spec, and a bad one is reported by its own rule. */
+const arch::GpuSpec &
+validated(const arch::GpuSpec &spec)
+{
+    spec.validate();
+    return spec;
+}
+
+} // namespace
+
 FunctionalSimulator::FunctionalSimulator(const arch::GpuSpec &spec,
                                          ExecMode mode)
-    : spec_(spec), mode_(mode), coalescer_(spec), banks_(spec)
+    : spec_(validated(spec)), mode_(mode), coalescer_(spec), banks_(spec)
 {
-    spec_.validate();
 }
 
 RunResult
 FunctionalSimulator::run(const isa::Kernel &kernel, const LaunchConfig &cfg,
                          GlobalMemory &gmem, const RunOptions &options)
 {
-    if (cfg.gridDim <= 0 || cfg.blockDim <= 0)
-        fatal("launch of kernel '%s' has empty grid (%d x %d)",
-              kernel.name().c_str(), cfg.gridDim, cfg.blockDim);
-    if (cfg.blockDim > spec_.maxThreadsPerBlock)
-        fatal("kernel '%s': block of %d threads exceeds the %d-thread "
-              "block ceiling", kernel.name().c_str(), cfg.blockDim,
-              spec_.maxThreadsPerBlock);
-    if (kernel.sharedBytes() > spec_.sharedMemPerSm)
-        fatal("kernel '%s': %d B shared memory exceeds the %d B SM "
-              "capacity", kernel.name().c_str(), kernel.sharedBytes(),
-              spec_.sharedMemPerSm);
+    checkLaunch(kernel.name(), cfg, kernel.sharedBytes(),
+                options.sampleBlocks, spec_);
 
     const int sample = options.homogeneous
                            ? std::min(options.sampleBlocks, cfg.gridDim)
                            : cfg.gridDim;
-    GPUPERF_ASSERT(sample > 0, "need at least one sampled block");
 
     RunResult result;
     DynamicStats &stats = result.stats;

@@ -18,6 +18,7 @@
 #define GPUPERF_FUNCSIM_INTERPRETER_H
 
 #include <cstdint>
+#include <string>
 
 #include "arch/gpu_spec.h"
 #include "funcsim/memory.h"
@@ -29,14 +30,6 @@
 
 namespace gpuperf {
 namespace funcsim {
-
-/**
- * Hard upper bound on lanes per warp. Active masks are uint32_t
- * bitfields, the SoA scratch buffers are fixed arrays of this size,
- * and GpuSpec::warpSize is validated against it at simulator
- * construction — this constant is the single place the limit lives.
- */
-constexpr int kMaxWarpLanes = 32;
 
 /**
  * Which execution core interprets warp instructions.
@@ -82,6 +75,18 @@ struct RunOptions
     /** Abort if a single warp executes more operations than this. */
     uint64_t maxWarpOps = 1ull << 32;
 };
+
+/**
+ * The launch rules, checked against @p spec: a non-empty grid, a
+ * block within the spec's thread ceiling, shared memory within one
+ * SM, and a positive homogeneous sample size. fatal() on the first
+ * violation. FunctionalSimulator::run() applies them to the spec it
+ * simulates; consumers of a profile shared across specs apply them to
+ * their own spec.
+ */
+void checkLaunch(const std::string &kernel_name, const LaunchConfig &cfg,
+                 int shared_bytes, int sample_blocks,
+                 const arch::GpuSpec &spec);
 
 /** Result of a functional run. */
 struct RunResult

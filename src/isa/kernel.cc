@@ -178,6 +178,9 @@ Kernel::validateAndIndex()
 
     if (numRegs_ <= 0)
         fatal("kernel '%s': needs at least one register", name_.c_str());
+    if (numPreds_ < 0 || sharedBytes_ < 0)
+        fatal("kernel '%s': negative resource counts (%d predicates, "
+              "%d B shared)", name_.c_str(), numPreds_, sharedBytes_);
 }
 
 int

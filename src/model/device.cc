@@ -42,28 +42,16 @@ SimulatedDevice::profile(const isa::Kernel &kernel,
 namespace {
 
 /**
- * Re-apply the launch-ceiling checks the functional simulator
- * performed under the producing spec, against @p spec: a shared
- * profile must fail exactly where a per-cell functional run would
- * have (same conditions, same messages). Shared by the replaying and
- * memoized measurement paths.
+ * A shared profile must fail exactly where a functional run under
+ * @p spec would have: apply the launch rules to this device's spec.
  */
 void
-revalidateLaunch(const funcsim::KernelProfile &profile,
-                 const arch::GpuSpec &spec)
+checkLaunchFor(const funcsim::KernelProfile &profile,
+               const arch::GpuSpec &spec)
 {
-    const funcsim::LaunchConfig &cfg = profile.key.cfg;
-    if (cfg.gridDim <= 0 || cfg.blockDim <= 0)
-        fatal("launch of kernel '%s' has empty grid (%d x %d)",
-              profile.kernelName.c_str(), cfg.gridDim, cfg.blockDim);
-    if (cfg.blockDim > spec.maxThreadsPerBlock)
-        fatal("kernel '%s': block of %d threads exceeds the %d-thread "
-              "block ceiling", profile.kernelName.c_str(), cfg.blockDim,
-              spec.maxThreadsPerBlock);
-    if (profile.resources.sharedBytesPerBlock > spec.sharedMemPerSm)
-        fatal("kernel '%s': %d B shared memory exceeds the %d B SM "
-              "capacity", profile.kernelName.c_str(),
-              profile.resources.sharedBytesPerBlock, spec.sharedMemPerSm);
+    funcsim::checkLaunch(profile.kernelName, profile.key.cfg,
+                         profile.resources.sharedBytesPerBlock,
+                         profile.key.sampleBlocks, spec);
 }
 
 } // namespace
@@ -71,7 +59,7 @@ revalidateLaunch(const funcsim::KernelProfile &profile,
 Measurement
 SimulatedDevice::measure(const funcsim::KernelProfile &profile) const
 {
-    revalidateLaunch(profile, spec_);
+    checkLaunchFor(profile, spec_);
     Measurement m;
     m.timing = timingSim_.run(profile);
     m.stats = profile.stats;
@@ -82,7 +70,7 @@ Measurement
 SimulatedDevice::measure(const funcsim::KernelProfile &profile,
                          const timing::TimingResult &timing) const
 {
-    revalidateLaunch(profile, spec_);
+    checkLaunchFor(profile, spec_);
     if (profile.key.fingerprint != arch::FuncsimFingerprint::of(spec_))
         fatal("kernel '%s': profile was produced under an incompatible "
               "functional-simulation fingerprint — recompute it for "

@@ -13,9 +13,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <thread>
 
@@ -32,6 +36,9 @@
 #include "store/codecs.h"
 #include "store/lease.h"
 #include "store/serializer.h"
+
+#include "expect_sim_error.h"
+#include "poison_requests.h"
 
 namespace gpuperf {
 namespace api {
@@ -757,6 +764,148 @@ TEST(AnalysisServiceTest, MalformedWireSpecsAreRejectedNotFatal)
         s->coreClockHz = std::nan("");
     });
     rejected([](arch::GpuSpec *s) { s->maxThreadsPerBlock = 0; });
+}
+
+TEST(AnalysisServiceTest, EverySpecRuleThrowsOneMessageEverywhere)
+{
+    // One row per rule of GpuSpec::validate(): the spec itself and
+    // validateRequest() must reject it with the same SimError.
+    struct Row
+    {
+        const char *rule;
+        void (*corrupt)(arch::GpuSpec *);
+    };
+    const Row rows[] = {
+        {"not divisible into clusters",
+         [](arch::GpuSpec *s) { s->smsPerCluster = 0; }},
+        {"coalescing group",
+         [](arch::GpuSpec *s) { s->coalesceGroup = 0; }},
+        {"lane limit", [](arch::GpuSpec *s) { s->warpSize = 64; }},
+        {"bad segment sizes",
+         [](arch::GpuSpec *s) { s->maxSegmentBytes = 16; }},
+        {"not a power of two",
+         [](arch::GpuSpec *s) { s->minSegmentBytes = 48; }},
+        {"shared-memory organization",
+         [](arch::GpuSpec *s) { s->sharedIssueGroup = 0; }},
+        {"functional-unit counts",
+         [](arch::GpuSpec *s) { s->spsPerSm = 0; }},
+        {"clocks or bus width",
+         [](arch::GpuSpec *s) { s->memClockHz = std::nan(""); }},
+        {"per-SM resource ceilings",
+         [](arch::GpuSpec *s) { s->registerAllocUnit = 0; }},
+        {"cannot cover thread ceiling",
+         [](arch::GpuSpec *s) { s->maxWarpsPerSm = 8; }},
+        {"timing parameters",
+         [](arch::GpuSpec *s) { s->globalLatencyCycles = -1; }},
+        {"texture-cache parameters",
+         [](arch::GpuSpec *s) { s->textureCacheLineBytes = 0; }},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.rule);
+        AnalysisRequest req = testRequest();
+        row.corrupt(&req.specs[1]);
+        const std::string direct = test_support::simErrorOf(
+            [&] { req.specs[1].validate(); });
+        EXPECT_NE(direct.find(row.rule), std::string::npos) << direct;
+        EXPECT_NE(direct.find(req.specs[1].name), std::string::npos)
+            << direct;
+        EXPECT_EQ(test_support::simErrorOf([&] { validateRequest(req); }),
+                  direct);
+    }
+}
+
+TEST(AnalysisServiceTest, PoisonInputsFailTheirCellsNotTheProcess)
+{
+    const AnalysisRequest normal = testRequest();
+    AnalysisService service;
+    adoptAll(service, normal);
+    for (const poison::Case &c : poison::cases(normal)) {
+        SCOPED_TRACE(c.what);
+        const AnalysisResponse resp = service.run(c.req);
+        ASSERT_EQ(resp.cells.size(), 1u);
+        EXPECT_FALSE(resp.cells[0].ok);
+        EXPECT_NE(resp.cells[0].error.find(c.message), std::string::npos)
+            << resp.cells[0].error;
+    }
+    // The same service still serves, bit-identically.
+    AnalysisService reference;
+    adoptAll(reference, normal);
+    expectEqual(service.run(normal), reference.run(normal));
+}
+
+/**
+ * @p req's response from a fresh service; a run still going after
+ * @p limit aborts the test binary, a clear failure instead of a hang.
+ */
+AnalysisResponse
+runOrAbortAfter(const AnalysisRequest &req, std::chrono::seconds limit)
+{
+    AnalysisService service;
+    adoptAll(service, req);
+    std::future<AnalysisResponse> result = std::async(
+        std::launch::async, [&service, &req] { return service.run(req); });
+    if (result.wait_for(limit) != std::future_status::ready) {
+        std::fprintf(stderr, "request '%s' did not return within %lld s\n",
+                     req.jobName.c_str(),
+                     static_cast<long long>(limit.count()));
+        std::abort();
+    }
+    return result.get();
+}
+
+TEST(AnalysisServiceTest, DuplicateKernelsCompleteOnOneThreadWithAStore)
+{
+    // Two jobs with one profile key (same factory and arguments,
+    // different names) on a one-thread, store-backed executor: the
+    // second case must share the first's profile node instead of
+    // polling a lease its own process holds.
+    AnalysisRequest req = testRequest();
+    req.kernels = {req.kernels[0], req.kernels[0]};
+    req.kernels[1].name = "saxpy-twin";
+    req.exec.numThreads = 1;
+    req.store.storeDir = freshDir("dup-kernels");
+
+    const std::chrono::seconds limit(120);
+    const AnalysisResponse one_thread = runOrAbortAfter(req, limit);
+    ASSERT_EQ(one_thread.cells.size(), 4u);
+    for (const driver::BatchResult &cell : one_thread.cells)
+        EXPECT_TRUE(cell.ok) << cell.error;
+
+    AnalysisRequest two_threads = req;
+    two_threads.exec.numThreads = 2;
+    two_threads.store.storeDir = freshDir("dup-kernels-2");
+    expectEqual(one_thread, runOrAbortAfter(two_threads, limit));
+    AnalysisRequest no_store = req;
+    no_store.store.storeDir.clear();
+    expectEqual(one_thread, runOrAbortAfter(no_store, limit));
+}
+
+TEST(AnalysisServiceTest, SharedProfilesKeepPerSpecLaunchCeilings)
+{
+    // Two specs with one funcsim fingerprint, differing only in the
+    // block ceiling: the shared pipeline must fail exactly the cell
+    // the per-cell pipeline fails, whichever spec comes first.
+    arch::GpuSpec small = arch::GpuSpec::gtx285();
+    small.name = "tpb-256";
+    small.maxThreadsPerBlock = 256;
+    AnalysisRequest req = testRequest();
+    req.kernels = {KernelJob::fromRef(
+        "saxpy-512", CaseRef{"saxpy", {8, 512}, {2.0}})};
+    req.specs = {small, arch::GpuSpec::gtx285()};
+    AnalysisService service;
+    adoptAll(service, req);
+    const AnalysisResponse shared = service.run(req);
+    ASSERT_EQ(shared.cells.size(), 2u);
+    EXPECT_FALSE(shared.cells[0].ok);
+    EXPECT_NE(shared.cells[0].error.find("256-thread block ceiling"),
+              std::string::npos)
+        << shared.cells[0].error;
+    EXPECT_TRUE(shared.cells[1].ok) << shared.cells[1].error;
+
+    AnalysisRequest percell = req;
+    percell.exec.pipeline = ExecutionPolicy::Pipeline::kPerCell;
+    adoptAll(service, percell);
+    expectEqual(shared, service.run(percell));
 }
 
 TEST(SpoolTest, MalformedSpecJobAnswersAsFailedCell)

@@ -8,6 +8,7 @@
 
 #include "arch/gpu_spec.h"
 #include "arch/instr_class.h"
+#include "expect_sim_error.h"
 
 namespace gpuperf {
 namespace arch {
@@ -49,22 +50,19 @@ TEST(GpuSpec, WhatIfPresets)
         s.validate();
 }
 
-TEST(GpuSpecDeath, ValidationCatchesBadConfigs)
+TEST(GpuSpecValidation, ValidationCatchesBadConfigs)
 {
     GpuSpec s = GpuSpec::gtx285();
     s.numSms = 31;  // not divisible into clusters of 3
-    EXPECT_EXIT(s.validate(), ::testing::ExitedWithCode(1),
-                "not divisible");
+    EXPECT_SIM_ERROR(s.validate(), "not divisible");
 
     GpuSpec s2 = GpuSpec::gtx285();
     s2.minSegmentBytes = 48;  // not a power of two
-    EXPECT_EXIT(s2.validate(), ::testing::ExitedWithCode(1),
-                "power of two");
+    EXPECT_SIM_ERROR(s2.validate(), "power of two");
 
     GpuSpec s3 = GpuSpec::gtx285();
     s3.maxSegmentBytes = 16;  // below min
-    EXPECT_EXIT(s3.validate(), ::testing::ExitedWithCode(1),
-                "segment sizes");
+    EXPECT_SIM_ERROR(s3.validate(), "segment sizes");
 }
 
 TEST(InstrClass, Table1UnitCounts)

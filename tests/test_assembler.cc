@@ -16,6 +16,7 @@
 #include "funcsim/interpreter.h"
 #include "isa/assembler.h"
 #include "isa/disasm.h"
+#include "expect_sim_error.h"
 
 namespace gpuperf {
 namespace isa {
@@ -92,16 +93,12 @@ TEST(Assembler, AcceptsDisassemblyIndexPrefixes)
     EXPECT_EQ(k.instructions()[0].op, Opcode::kMovImm);
 }
 
-TEST(AssemblerDeath, RejectsGarbage)
+TEST(AssemblerErrors, RejectsGarbage)
 {
-    EXPECT_EXIT(assemble("frobnicate $r0, $r1\n"),
-                ::testing::ExitedWithCode(1), "unknown mnemonic");
-    EXPECT_EXIT(assemble("movi $r0 42\n"), ::testing::ExitedWithCode(1),
-                "expected ','");
-    EXPECT_EXIT(assemble(".bogus 1\n"), ::testing::ExitedWithCode(1),
-                "unknown directive");
-    EXPECT_EXIT(assemble("movi $r0, 1 junk\n"),
-                ::testing::ExitedWithCode(1), "trailing");
+    EXPECT_SIM_ERROR(assemble("frobnicate $r0, $r1\n"), "unknown mnemonic");
+    EXPECT_SIM_ERROR(assemble("movi $r0 42\n"), "expected ','");
+    EXPECT_SIM_ERROR(assemble(".bogus 1\n"), "unknown directive");
+    EXPECT_SIM_ERROR(assemble("movi $r0, 1 junk\n"), "trailing");
 }
 
 /** Round trip: disassemble -> assemble -> disassemble must be stable. */

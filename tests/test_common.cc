@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "expect_sim_error.h"
 
 namespace gpuperf {
 namespace {
@@ -139,10 +140,11 @@ TEST(LoggingDeath, PanicAborts)
     EXPECT_DEATH(panic("boom %d", 7), "panic: boom 7");
 }
 
-TEST(LoggingDeath, FatalExits)
+TEST(Logging, FatalThrowsSimError)
 {
-    EXPECT_EXIT(fatal("bad config %s", "x"),
-                ::testing::ExitedWithCode(1), "fatal: bad config x");
+    EXPECT_SIM_ERROR(fatal("bad config %s", "x"), "bad config x");
+    // A SimError is a runtime_error: generic handlers catch it too.
+    EXPECT_THROW(fatal("bad"), std::runtime_error);
 }
 
 TEST(LoggingDeath, AssertMacro)

@@ -10,6 +10,7 @@
 #include "apps/matmul/gemm.h"
 #include "arch/occupancy.h"
 #include "funcsim/interpreter.h"
+#include "expect_sim_error.h"
 
 namespace gpuperf {
 namespace apps {
@@ -163,16 +164,16 @@ TEST(GemmCounts, ColumnLoadsAreCoalesced)
     EXPECT_EQ(req, got);
 }
 
-TEST(GemmDeath, RejectsBadTile)
+TEST(GemmErrors, RejectsBadTile)
 {
     funcsim::GlobalMemory gmem(1 << 20);
-    EXPECT_DEATH(makeGemmProblem(gmem, 128, 12), "tile");
+    EXPECT_SIM_ERROR(makeGemmProblem(gmem, 128, 12), "tile");
 }
 
-TEST(GemmDeath, RejectsNonPowerOfTwoSize)
+TEST(GemmErrors, RejectsNonPowerOfTwoSize)
 {
     funcsim::GlobalMemory gmem(1 << 20);
-    EXPECT_DEATH(makeGemmProblem(gmem, 100, 16), "power of two");
+    EXPECT_SIM_ERROR(makeGemmProblem(gmem, 100, 16), "power of two");
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include "funcsim/interpreter.h"
 #include "isa/builder.h"
+#include "expect_sim_error.h"
 
 namespace gpuperf {
 namespace funcsim {
@@ -565,7 +566,7 @@ TEST(Interpreter, TraceRecordsUnitsAndConflicts)
     EXPECT_EQ(global_ops, 1);
 }
 
-TEST(InterpreterDeath, BarrierInsideDivergenceIsFatal)
+TEST(InterpreterErrors, BarrierInsideDivergenceIsFatal)
 {
     KernelBuilder b("badbar");
     Reg tid = b.reg();
@@ -579,10 +580,10 @@ TEST(InterpreterDeath, BarrierInsideDivergenceIsFatal)
     GlobalMemory gmem(1 << 20);
     FunctionalSimulator sim(spec());
     LaunchConfig cfg{1, 32};
-    EXPECT_DEATH(sim.run(k, cfg, gmem), "divergent");
+    EXPECT_SIM_ERROR(sim.run(k, cfg, gmem), "divergent");
 }
 
-TEST(InterpreterDeath, RunawayLoopIsFatal)
+TEST(InterpreterErrors, RunawayLoopIsFatal)
 {
     KernelBuilder b("runaway");
     Reg i = b.reg();
@@ -598,7 +599,7 @@ TEST(InterpreterDeath, RunawayLoopIsFatal)
     LaunchConfig cfg{1, 32};
     RunOptions opts;
     opts.maxWarpOps = 10000;
-    EXPECT_DEATH(sim.run(k, cfg, gmem, opts), "runaway");
+    EXPECT_SIM_ERROR(sim.run(k, cfg, gmem, opts), "runaway");
 }
 
 TEST(Interpreter, ActiveWarpCensusTracksPartialBlocks)

@@ -11,6 +11,7 @@
 #include "funcsim/trace.h"
 #include "isa/builder.h"
 #include "isa/disasm.h"
+#include "expect_sim_error.h"
 
 namespace gpuperf {
 namespace isa {
@@ -105,24 +106,24 @@ TEST(Kernel, MatchTablesForNestedStructures)
     EXPECT_EQ(k.loopOf(6), 3);
 }
 
-TEST(KernelDeath, UnmatchedIf)
+TEST(KernelErrors, UnmatchedIf)
 {
     KernelBuilder b("bad");
     Reg r = b.reg();
     Pred p = b.pred();
     b.setpIImm(p, CmpOp::kLt, r, 1);
     b.beginIf(p);
-    EXPECT_EXIT(b.build(), ::testing::ExitedWithCode(1), "unterminated");
+    EXPECT_SIM_ERROR(b.build(), "unterminated");
 }
 
-TEST(KernelDeath, ElseWithoutIf)
+TEST(KernelErrors, ElseWithoutIf)
 {
     KernelBuilder b("bad");
     b.beginElse();
-    EXPECT_EXIT(b.build(), ::testing::ExitedWithCode(1), "without open");
+    EXPECT_SIM_ERROR(b.build(), "without open");
 }
 
-TEST(KernelDeath, BrkInsideIfRejected)
+TEST(KernelErrors, BrkInsideIfRejected)
 {
     // BRK must be an immediate child of a LOOP.
     KernelBuilder b("bad");
@@ -134,18 +135,16 @@ TEST(KernelDeath, BrkInsideIfRejected)
     b.brk(p);
     b.endIf();
     b.endLoop();
-    EXPECT_EXIT(b.build(), ::testing::ExitedWithCode(1),
-                "directly inside a LOOP");
+    EXPECT_SIM_ERROR(b.build(), "directly inside a LOOP");
 }
 
-TEST(KernelDeath, RegisterOutOfRange)
+TEST(KernelErrors, RegisterOutOfRange)
 {
     std::vector<Instruction> instrs(1);
     instrs[0].op = Opcode::kMov;
     instrs[0].dst = 5;          // beyond the declared register count
     instrs[0].src[0] = 0;
-    EXPECT_EXIT(Kernel("bad", instrs, 2, 1, 0),
-                ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_SIM_ERROR(Kernel("bad", instrs, 2, 1, 0), "out of range");
 }
 
 TEST(Disasm, RendersRepresentativeInstructions)

@@ -12,6 +12,7 @@
 #include "model/perf_model.h"
 #include "model/report.h"
 #include "model/roofline.h"
+#include "expect_sim_error.h"
 
 namespace gpuperf {
 namespace model {
@@ -231,10 +232,10 @@ TEST(Roofline, VerdictsMatchPaperExamples)
     EXPECT_LT(cr.memoryFraction, 0.05);
 }
 
-TEST(RooflineDeath, RejectsNonPositiveTime)
+TEST(RooflineErrors, RejectsNonPositiveTime)
 {
-    EXPECT_EXIT(analyzeRoofline(arch::GpuSpec::gtx285(), 1.0, 1.0, 0.0),
-                ::testing::ExitedWithCode(1), "non-positive");
+    EXPECT_SIM_ERROR(analyzeRoofline(arch::GpuSpec::gtx285(), 1.0, 1.0, 0.0),
+                     "non-positive");
 }
 
 TEST(Report, MetricsFromStats)

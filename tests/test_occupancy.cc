@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/occupancy.h"
+#include "expect_sim_error.h"
 
 namespace gpuperf {
 namespace arch {
@@ -103,18 +104,18 @@ TEST(Occupancy, WarpCeilingBinds)
     EXPECT_EQ(occ.residentWarps, 32);
 }
 
-TEST(OccupancyDeath, RejectsOversizedBlocks)
+TEST(OccupancyErrors, RejectsOversizedBlocks)
 {
     GpuSpec spec = GpuSpec::gtx285();
     KernelResources res{4, 0, 1024};
-    EXPECT_DEATH(computeOccupancy(spec, res), "block ceiling");
+    EXPECT_SIM_ERROR(computeOccupancy(spec, res), "block ceiling");
 }
 
-TEST(OccupancyDeath, RejectsKernelsThatDoNotFit)
+TEST(OccupancyErrors, RejectsKernelsThatDoNotFit)
 {
     GpuSpec spec = GpuSpec::gtx285();
     KernelResources res{4, 20000, 64};
-    EXPECT_DEATH(computeOccupancy(spec, res), "does not fit");
+    EXPECT_SIM_ERROR(computeOccupancy(spec, res), "does not fit");
 }
 
 struct OccCase

@@ -16,6 +16,7 @@
 #include "driver/demo_cases.h"
 #include "isa/builder.h"
 #include "model/session.h"
+#include "expect_sim_error.h"
 
 namespace gpuperf {
 namespace {
@@ -264,8 +265,7 @@ TEST(KernelProfile, MismatchedFingerprintIsFatal)
     model::SimulatedDevice base(arch::GpuSpec::gtx285());
     auto profile = base.profile(launch.kernel, launch.cfg, *launch.gmem);
     model::SimulatedDevice prime(arch::GpuSpec::gtx285PrimeBanks());
-    EXPECT_EXIT(prime.measure(*profile),
-                ::testing::ExitedWithCode(1), "incompatible");
+    EXPECT_SIM_ERROR(prime.measure(*profile), "incompatible");
 }
 
 TEST(KernelProfile, SharedProfileStillHitsPerSpecLaunchCeilings)
@@ -279,8 +279,8 @@ TEST(KernelProfile, SharedProfileStillHitsPerSpecLaunchCeilings)
     arch::GpuSpec small = arch::GpuSpec::gtx285();
     small.maxThreadsPerBlock = 256;
     model::SimulatedDevice dev(small);
-    EXPECT_EXIT(dev.measure(*profile), ::testing::ExitedWithCode(1),
-                "exceeds the 256-thread block ceiling");
+    EXPECT_SIM_ERROR(dev.measure(*profile),
+                     "exceeds the 256-thread block ceiling");
 }
 
 TEST(HomogeneousSampling, ValidKernelPassesValidation)
@@ -337,9 +337,8 @@ TEST(HomogeneousSampling, HeterogeneousKernelIsCaughtInDebugBuilds)
     funcsim::RunOptions opts;
     opts.homogeneous = true;
     opts.sampleBlocks = 1;
-    EXPECT_EXIT(sim.run(launch.kernel, launch.cfg, *launch.gmem, opts),
-                ::testing::ExitedWithCode(1),
-                "homogeneous sampling is invalid");
+    EXPECT_SIM_ERROR(sim.run(launch.kernel, launch.cfg, *launch.gmem, opts),
+                     "homogeneous sampling is invalid");
 #endif
 }
 

@@ -30,6 +30,8 @@
 #include "common/socket.h"
 #include "store/serializer.h"
 
+#include "poison_requests.h"
+
 namespace gpuperf {
 namespace api {
 namespace {
@@ -304,6 +306,33 @@ TEST(ServeTest, MalformedRequestGetsErrorNotACrash)
     EXPECT_NE(body.find("deserialize"), std::string::npos) << body;
     closeSocket(fd);
     EXPECT_EQ(rig.server->stats().rejectedRequests, 1u);
+}
+
+TEST(ServeTest, PoisonInputsFailTheirCellsAndTheServerSurvives)
+{
+    Rig rig("poison");
+    const std::vector<poison::Case> cases = poison::cases(rig.req);
+    // In-process first: the same requests, the same failed cells.
+    for (const poison::Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        const AnalysisResponse resp = rig.reference.run(c.req);
+        ASSERT_EQ(resp.cells.size(), 1u);
+        EXPECT_FALSE(resp.cells[0].ok);
+        EXPECT_NE(resp.cells[0].error.find(c.message), std::string::npos)
+            << resp.cells[0].error;
+    }
+    ServeClient client = ServeClient::overUnix(rig.unixPath);
+    for (const poison::Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        const AnalysisResponse resp = client.run(c.req);
+        ASSERT_EQ(resp.cells.size(), 1u);
+        EXPECT_FALSE(resp.cells[0].ok);
+        EXPECT_NE(resp.cells[0].error.find(c.message), std::string::npos)
+            << resp.cells[0].error;
+    }
+    // The daemon is still up and still bit-identical.
+    expectEqual(client.run(rig.req), rig.expected());
+    EXPECT_EQ(rig.server->stats().requests, cases.size() + 1);
 }
 
 // --- Transport failure containment ------------------------------------

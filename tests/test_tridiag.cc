@@ -10,6 +10,7 @@
 #include "apps/tridiag/cyclic_reduction.h"
 #include "arch/occupancy.h"
 #include "funcsim/interpreter.h"
+#include "expect_sim_error.h"
 
 namespace gpuperf {
 namespace apps {
@@ -178,12 +179,13 @@ TEST(CyclicReduction, StageCountMatchesStructure)
     EXPECT_EQ(full.stats.stages.size(), 15u);
 }
 
-TEST(TridiagDeath, RejectsBadSizes)
+TEST(TridiagErrors, RejectsBadSizes)
 {
     funcsim::GlobalMemory gmem(1 << 20);
-    EXPECT_DEATH(makeTridiagProblem(gmem, 100, 1, false),
-                 "power of two");
-    EXPECT_DEATH(makeTridiagProblem(gmem, 8, 1, true), "multiple of 16");
+    EXPECT_SIM_ERROR(makeTridiagProblem(gmem, 100, 1, false),
+                     "power of two");
+    EXPECT_SIM_ERROR(makeTridiagProblem(gmem, 8, 1, true),
+                     "multiple of 16");
 }
 
 } // namespace
