@@ -169,13 +169,14 @@ main(int argc, char **argv)
 
     api::AnalysisService service;
 
-    // Calibrate once, outside the timed region, via a cache-backed
-    // policy; every executor below adopts this one table set.
+    // Calibrate once, outside the timed region, through a calibration
+    // store kept across bench runs; every executor below adopts this
+    // one table set.
     std::cout << "calibrating " << spec.name
-              << " (cached across bench runs)...\n";
+              << " (stored across bench runs)...\n";
     api::AnalysisRequest cal_req;
     cal_req.jobName = "bench-calibration";
-    cal_req.store.calibrationCacheDir = ".";
+    cal_req.store.storeDir = "bench_calibration_store";
     const auto tables = service.calibrationFor(cal_req, spec);
 
     api::AnalysisRequest base;

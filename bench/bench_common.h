@@ -20,6 +20,7 @@
 
 #include "common/table.h"
 #include "model/session.h"
+#include "store/calibration_store.h"
 
 namespace gpuperf {
 namespace bench {
@@ -123,24 +124,17 @@ struct LatencyBreakdown
     }
 };
 
-/** Calibration cache file for a spec (shared across binaries). */
-inline std::string
-calibrationCacheFile(const arch::GpuSpec &spec)
-{
-    std::string name = "calibration";
-    for (char c : spec.name) {
-        name.push_back(
-            (std::isalnum(static_cast<unsigned char>(c))) ? c : '_');
-    }
-    return name + ".cache";
-}
-
-/** Session config wired to the spec's shared calibration cache. */
+/**
+ * Session config adopting the spec's calibration from a store under
+ * the working directory (shared across binaries and runs; the first
+ * run calibrates and saves).
+ */
 inline model::SessionConfig
 cachedSessionConfig(const arch::GpuSpec &spec)
 {
     model::SessionConfig config;
-    config.calibrationCache = calibrationCacheFile(spec);
+    config.tables =
+        store::CalibrationStore("bench_calibrations").loadOrCalibrate(spec);
     return config;
 }
 

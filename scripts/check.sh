@@ -190,7 +190,7 @@ run_serve_smoke() {
     rm -rf "$SMOKE"
     mkdir -p "$SMOKE"
 
-    "$S" --unix "$SOCK" --tcp 0 > "$SMOKE/serve.log" 2>&1 &
+    "$S" --via "unix:$SOCK" --via tcp:127.0.0.1:0 > "$SMOKE/serve.log" 2>&1 &
     local SERVE_PID=$!
     trap 'kill "$SERVE_PID" 2>/dev/null || true' RETURN
     for _ in $(seq 1 100); do

@@ -233,7 +233,6 @@ void
 fields(V &v, api::StorePolicy &x)
 {
     v("dir", x.storeDir);
-    v("calibrationCacheDir", x.calibrationCacheDir);
     v("reuseStoredResults", x.reuseStoredResults);
 }
 
@@ -244,7 +243,6 @@ fields(V &v, api::ExecutionPolicy &x)
     v("numThreads", x.numThreads);
     v("engine", x.engine);
     v("pipeline", x.pipeline);
-    v("shareTiming", x.shareTiming);
     v("delivery", x.delivery);
 }
 

@@ -35,9 +35,9 @@ failedCell(const AnalysisRequest &cell, const std::string &error)
 
 } // namespace
 
-Dispatcher::Dispatcher(AnalysisService &local, DispatchOptions opts)
-    : local_(local), opts_(opts),
-      queue_(sched::PendingQueue<Job *>(opts.policy))
+Dispatcher::Dispatcher(AnalysisService &local, const Endpoint &ep)
+    : local_(local), ep_(ep),
+      queue_(sched::PendingQueue<Job *>(ep.schedPolicy))
 {
 }
 
@@ -60,7 +60,7 @@ Dispatcher::stats() const
     std::lock_guard<std::mutex> lock(mutex_);
     DispatchStats s = stats_;
     s.workersLive = workers_.size();
-    s.schedPolicy = sched::schedPolicyName(opts_.policy);
+    s.schedPolicy = sched::schedPolicyName(ep_.schedPolicy);
     s.queueDepth = queue_.size();
     s.clientShares = queue_.shares();
     s.costErrorAbsMsSum = costModel_.predictionErrorAbsSum();
@@ -176,7 +176,8 @@ Dispatcher::pump()
                 return;
             for (auto &kv : workers_) {
                 Worker &cand = *kv.second;
-                if (cand.inFlight.size() >= opts_.maxInFlightPerWorker)
+                if (cand.inFlight.size() >=
+                    ep_.limits.maxWorkerInFlight)
                     continue;
                 if (!w || cand.inFlight.size() < w->inFlight.size())
                     w = kv.second;
@@ -330,7 +331,8 @@ Dispatcher::serveWorker(int fd, const std::string &hello,
         std::string payload;
         std::string err;
         const int rc = readFrame(fd, &type, &payload,
-                                 opts_.maxFrameBytes, stop, &err, -1.0);
+                                 ep_.limits.maxFrameBytes, stop, &err,
+                                 -1.0);
         if (rc != 1)
             break; // hangup, cancellation or torn frame: dead worker
         if (type != FrameType::kCell)
@@ -480,7 +482,7 @@ Dispatcher::execute(const AnalysisRequest &req, const CellCallback &onCell)
         const auto spareSlot = [this] {
             for (const auto &kv : workers_) {
                 if (kv.second->inFlight.size() <
-                    opts_.maxInFlightPerWorker)
+                    ep_.limits.maxWorkerInFlight)
                     return true;
             }
             return false;
@@ -496,9 +498,9 @@ Dispatcher::execute(const AnalysisRequest &req, const CellCallback &onCell)
             // Past 3x the deadline with still nowhere else to go,
             // the holder is wedged, not busy — steal anyway so a
             // single stuck worker cannot hang the request forever.
-            if (waited > opts_.jobTimeoutSeconds &&
+            if (waited > ep_.timeouts.jobSeconds &&
                 (spareSlot() ||
-                 waited > 3.0 * opts_.jobTimeoutSeconds)) {
+                 waited > 3.0 * ep_.timeouts.jobSeconds)) {
                 requeueLocked(job);
                 stole = true;
             }

@@ -27,7 +27,7 @@
  *    in-flight jobs are stolen back onto the queue and re-dispatched
  *    to surviving workers — the socket analogue of spool
  *    crash-steal;
- *  - a job times out (jobTimeoutSeconds) or exceeds the re-dispatch
+ *  - a job times out (job-timeout) or exceeds the re-dispatch
  *    bound: the request's own thread executes it locally — forward
  *    progress never depends on fleet health;
  *  - results are EXACTLY-ONCE: first completion wins, late
@@ -67,22 +67,6 @@
 
 namespace gpuperf {
 namespace api {
-
-struct DispatchOptions
-{
-    /** Jobs in flight per registered worker. */
-    size_t maxInFlightPerWorker = 4;
-    /** Re-dispatch a dispatched-but-unanswered job after this. */
-    double jobTimeoutSeconds = 600.0;
-    /** Bound accepted on worker result frames. */
-    uint64_t maxFrameBytes = kMaxFrameBytesDefault;
-    /**
-     * Pending-queue order (`?sched=` endpoint option). Changes which
-     * queued job the next free worker slot takes — never the
-     * response, which stays bit-identical to kFifo.
-     */
-    sched::SchedPolicy policy = sched::SchedPolicy::kFifo;
-};
 
 /** One worker's health, as seen by Server::stats(). */
 struct WorkerStat
@@ -139,7 +123,14 @@ class Dispatcher
     /** Local-takeover bound: a job stolen this often runs locally. */
     static constexpr int kMaxRedispatches = 3;
 
-    Dispatcher(AnalysisService &local, DispatchOptions opts = {});
+    /**
+     * @p ep supplies the fleet settings: worker-inflight (jobs in
+     * flight per worker), job-timeout (re-dispatch an unanswered job
+     * after), max-frame-bytes (bound on worker result frames) and
+     * sched (pending-queue order — never changes the response, which
+     * stays bit-identical to kFifo).
+     */
+    Dispatcher(AnalysisService &local, const Endpoint &ep);
     Dispatcher(const Dispatcher &) = delete;
     Dispatcher &operator=(const Dispatcher &) = delete;
 
@@ -237,7 +228,7 @@ class Dispatcher
     size_t liveWorkersLocked() const;
 
     AnalysisService &local_;
-    DispatchOptions opts_;
+    const Endpoint ep_;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;

@@ -1,13 +1,12 @@
 /**
  * @file
  * api::Endpoint — THE configuration surface for every seam a request
- * can travel through. PRs 5–7 grew options organically (SpoolOptions,
- * ServerOptions, ServeClient setters, the tools' divergent flags);
- * this type collapses them: one parsed URI plus typed limit/timeout
- * bags, from which each consumer derives its legacy options struct
- * (serverOptionsFor, spoolOptionsFor, ...). The legacy structs remain
- * as thin forwarders for one release — see the migration table in
- * src/api/README.md.
+ * can travel through: one parsed URI plus typed limit/timeout bags.
+ * Every consumer reads its settings straight from the Endpoint —
+ * api::Server (the first endpoint's settings), api::Dispatcher,
+ * spoolServe/spoolCollect and makeTransport — so each setting has
+ * exactly one spelling: the query key below, which is also the tools'
+ * flag name (tools/cli_common.h).
  *
  * A URI names the seam and carries options as a query string, with
  * the SAME spellings the tools use as flags:
@@ -137,9 +136,6 @@ struct Endpoint
         double collectSeconds = 600.0;
         /** Dispatch: re-dispatch a worker-held cell after, seconds. */
         double jobSeconds = 600.0;
-        /** Spool collect poll backoff (initial -> cap). */
-        double pollInitialSeconds = 0.002;
-        double pollMaxSeconds = 0.25;
         /** Spool claim staleness threshold, milliseconds. */
         int64_t claimStaleMs = store::kLeaseStaleAfterMsDefault;
         /** Server GC: evict entries idle longer than, seconds (0 = off). */

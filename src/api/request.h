@@ -39,7 +39,7 @@ namespace api {
  * change to the schema structs or their codecs; readers reject other
  * versions and the caller re-issues the job.
  */
-constexpr uint32_t kSchemaVersion = 2;
+constexpr uint32_t kSchemaVersion = 3;
 
 /**
  * A kernel case by reference: a registry factory name plus its
@@ -113,8 +113,6 @@ struct StorePolicy
      * replays through the store leases.
      */
     std::string storeDir;
-    /** Legacy text calibration cache directory ("" = none). */
-    std::string calibrationCacheDir;
     /**
      * Serve finished cells straight from the result store (results
      * remain bit-identical; finished cells are always persisted when
@@ -143,8 +141,6 @@ struct ExecutionPolicy
     /** Timing replay engine (engines are bit-identical by contract). */
     timing::ReplayEngine engine = timing::ReplayEngine::kEventDriven;
     Pipeline pipeline = Pipeline::kShared;
-    /** Memoize timing replays per (profile key, timing fingerprint). */
-    bool shareTiming = true;
     Delivery delivery = Delivery::kCollect;
 };
 

@@ -26,75 +26,37 @@ namespace {
  */
 constexpr double kSendStallTimeoutSeconds = 30.0;
 
-DispatchOptions
-dispatchOptionsFor(const ServerOptions &opts)
-{
-    DispatchOptions d;
-    d.maxInFlightPerWorker = opts.maxWorkerInFlight;
-    d.jobTimeoutSeconds = opts.jobTimeoutSeconds;
-    d.maxFrameBytes = opts.maxFrameBytes;
-    d.policy = opts.schedPolicy;
-    return d;
-}
-
-} // namespace
-
-ServerOptions
-serverOptionsFor(const std::vector<Endpoint> &endpoints)
+/** @p endpoints, once each is checked to be a unix:/tcp: listener. */
+std::vector<Endpoint>
+listeners(const std::vector<Endpoint> &endpoints)
 {
     if (endpoints.empty())
         throw std::runtime_error("a server needs at least one "
                                  "listener endpoint");
-    ServerOptions opts;
-    const Endpoint &first = endpoints.front();
-    opts.maxClients = first.limits.maxClients;
-    opts.maxInFlightCells = first.limits.maxInFlightCells;
-    opts.maxCellsPerRequest = first.limits.maxCellsPerRequest;
-    opts.maxFrameBytes = first.limits.maxFrameBytes;
-    opts.maxWorkerInFlight = first.limits.maxWorkerInFlight;
-    opts.idleTimeoutSeconds = first.timeouts.idleSeconds;
-    opts.jobTimeoutSeconds = first.timeouts.jobSeconds;
-    opts.forceStoreDir = first.storeDir;
-    opts.schedPolicy = first.schedPolicy;
-    opts.gcBytes = first.limits.gcBytes;
-    opts.gcAgeSeconds = first.timeouts.gcAgeSeconds;
-    opts.gcIntervalSeconds = first.timeouts.gcIntervalSeconds;
     for (const Endpoint &ep : endpoints) {
-        switch (ep.scheme) {
-        case Endpoint::Scheme::kUnix:
-            opts.unixPath = ep.path;
-            break;
-        case Endpoint::Scheme::kTcp:
-            opts.tcpHost = ep.host;
-            opts.tcpPort = ep.port;
-            break;
-        default:
+        if (ep.scheme != Endpoint::Scheme::kUnix &&
+            ep.scheme != Endpoint::Scheme::kTcp)
             throw std::runtime_error(
                 "server endpoints must be unix:PATH or "
                 "tcp:HOST:PORT, got '" +
                 ep.uri() + "'");
-        }
     }
-    return opts;
+    return endpoints;
 }
 
-Server::Server(ServerOptions opts)
-    : opts_(std::move(opts)),
-      dispatcher_(service_, dispatchOptionsFor(opts_))
-{
-    // One policy drives both halves: the dispatcher's pending queue
-    // (fleet path) and the local service's task-graph ready order.
-    service_.setSchedPolicy(opts_.schedPolicy);
-}
+} // namespace
 
 Server::Server(const Endpoint &endpoint)
-    : Server(serverOptionsFor(std::vector<Endpoint>{endpoint}))
+    : Server(std::vector<Endpoint>{endpoint})
 {
 }
 
 Server::Server(const std::vector<Endpoint> &endpoints)
-    : Server(serverOptionsFor(endpoints))
+    : endpoints_(listeners(endpoints)), dispatcher_(service_, config())
 {
+    // One policy drives both halves: the dispatcher's pending queue
+    // (fleet path) and the local service's task-graph ready order.
+    service_.setSchedPolicy(config().schedPolicy);
 }
 
 Server::~Server()
@@ -107,25 +69,17 @@ Server::start()
 {
     if (started_.exchange(true))
         throw std::runtime_error("server already started");
-    if (opts_.unixPath.empty() && opts_.tcpPort < 0)
-        throw std::runtime_error(
-            "no listener configured (need a unix path or tcp port)");
 
-    std::string err;
-    if (!opts_.unixPath.empty()) {
-        const int fd = listenUnix(opts_.unixPath, &err);
+    for (const Endpoint &ep : endpoints_) {
+        std::string err;
+        const bool unix_socket = ep.scheme == Endpoint::Scheme::kUnix;
+        const int fd = unix_socket ? listenUnix(ep.path, &err)
+                                   : listenTcp(ep.host, ep.port, &err);
         if (fd < 0)
-            throw std::runtime_error("cannot listen on unix:" +
-                                     opts_.unixPath + ": " + err);
-        listen_fds_.push_back(fd);
-    }
-    if (opts_.tcpPort >= 0) {
-        const int fd = listenTcp(opts_.tcpHost, opts_.tcpPort, &err);
-        if (fd < 0)
-            throw std::runtime_error(
-                "cannot listen on tcp:" + opts_.tcpHost + ":" +
-                std::to_string(opts_.tcpPort) + ": " + err);
-        bound_tcp_port_ = boundTcpPort(fd);
+            throw std::runtime_error("cannot listen on " + ep.uri() +
+                                     ": " + err);
+        if (!unix_socket && bound_tcp_port_ < 0)
+            bound_tcp_port_ = boundTcpPort(fd);
         listen_fds_.push_back(fd);
     }
     for (const int fd : listen_fds_)
@@ -133,8 +87,9 @@ Server::start()
     // Store maintenance: with a GC bound and a forced store root, a
     // background thread keeps the shared store within budget while
     // the daemon serves (lease-aware — see store/lifecycle/gc.h).
-    if (!opts_.forceStoreDir.empty() &&
-        (opts_.gcBytes > 0 || opts_.gcAgeSeconds > 0))
+    if (!config().storeDir.empty() &&
+        (config().limits.gcBytes > 0 ||
+         config().timeouts.gcAgeSeconds > 0))
         gc_thread_ = std::thread([this] { gcLoop(); });
 }
 
@@ -142,17 +97,18 @@ void
 Server::gcLoop()
 {
     store::GcOptions gc;
-    gc.maxBytes = opts_.gcBytes;
+    gc.maxBytes = config().limits.gcBytes;
     gc.maxAgeMs =
-        static_cast<int64_t>(opts_.gcAgeSeconds * 1000.0);
-    const double interval_s =
-        opts_.gcIntervalSeconds > 0 ? opts_.gcIntervalSeconds : 300.0;
+        static_cast<int64_t>(config().timeouts.gcAgeSeconds * 1000.0);
+    const double interval_s = config().timeouts.gcIntervalSeconds > 0
+                                  ? config().timeouts.gcIntervalSeconds
+                                  : 300.0;
     const auto interval = std::chrono::duration<double>(interval_s);
     std::unique_lock<std::mutex> lock(mutex_);
     while (!stopping_.load()) {
         lock.unlock();
         const store::GcReport report =
-            store::runGc(opts_.forceStoreDir, gc);
+            store::runGc(config().storeDir, gc);
         lock.lock();
         ++stats_.gcRuns;
         stats_.gcEvicted += report.evicted;
@@ -190,8 +146,9 @@ Server::stop()
     for (const auto &conn : remaining)
         if (conn->thread.joinable())
             conn->thread.join();
-    if (!opts_.unixPath.empty())
-        ::unlink(opts_.unixPath.c_str());
+    for (const Endpoint &ep : endpoints_)
+        if (ep.scheme == Endpoint::Scheme::kUnix)
+            ::unlink(ep.path.c_str());
 }
 
 ServerStats
@@ -345,13 +302,13 @@ Server::acceptLoop(int listen_fd)
         {
             std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.accepted;
-            if (live_connections_ >= opts_.maxClients ||
+            if (live_connections_ >= config().limits.maxClients ||
                 stopping_.load()) {
                 ++stats_.rejectedClients;
                 reject = stopping_.load()
                              ? "server is shutting down"
                              : "server at capacity (" +
-                                   std::to_string(opts_.maxClients) +
+                                   std::to_string(config().limits.maxClients) +
                                    " clients)";
             } else {
                 ++live_connections_;
@@ -387,8 +344,9 @@ Server::serveConnection(int fd)
         std::string payload;
         std::string err;
         const int rc = readFrame(fd, &type, &payload,
-                                 opts_.maxFrameBytes, &stopping_, &err,
-                                 opts_.idleTimeoutSeconds);
+                                 config().limits.maxFrameBytes,
+                                 &stopping_, &err,
+                                 config().timeouts.idleSeconds);
         if (rc == 0)
             break; // clean hangup between requests
         if (rc == -2) {
@@ -441,7 +399,8 @@ Server::admit(size_t cells)
         // global bound would otherwise deadlock against it); a busy
         // one admits when the new cells fit under the bound.
         return stopping_.load() || in_flight_cells_ == 0 ||
-               in_flight_cells_ + cells <= opts_.maxInFlightCells;
+               in_flight_cells_ + cells <=
+                   config().limits.maxInFlightCells;
     });
     if (stopping_.load())
         return false;
@@ -488,13 +447,14 @@ Server::serveExchange(int fd, FrameType type,
         return reject(parse_error);
 
     const size_t cells = req.kernels.size() * req.specs.size();
-    if (cells > opts_.maxCellsPerRequest) {
+    const size_t quota = config().limits.maxCellsPerRequest;
+    if (cells > quota) {
         return reject("request of " + std::to_string(cells) +
                       " cells exceeds the per-client quota of " +
-                      std::to_string(opts_.maxCellsPerRequest));
+                      std::to_string(quota));
     }
-    if (!opts_.forceStoreDir.empty())
-        req.store.storeDir = opts_.forceStoreDir;
+    if (!config().storeDir.empty())
+        req.store.storeDir = config().storeDir;
 
     if (!admit(cells))
         return reject("server is shutting down");

@@ -14,10 +14,10 @@
  * backpressure live at the request boundary:
  *
  *  - a request whose cell count exceeds the per-client quota
- *    (ServerOptions::maxCellsPerRequest) is REJECTED with kError —
+ *    (the max-cells endpoint option) is REJECTED with kError —
  *    quota violations fail fast and visibly;
  *  - a request that would push the server's total in-flight cells
- *    over ServerOptions::maxInFlightCells WAITS — the connection
+ *    over the max-inflight endpoint option WAITS — the connection
  *    thread blocks before execute(), which stops reading that
  *    client's socket: backpressure propagates to the peer through
  *    TCP/unix-socket flow control while the task graph drains;
@@ -55,81 +55,6 @@
 namespace gpuperf {
 namespace api {
 
-/**
- * DEPRECATED as a public surface: build servers from api::Endpoint
- * URIs (Server(const Endpoint &) / serverOptionsFor) instead — see
- * the migration table in src/api/README.md. The struct remains the
- * internal representation for one release.
- */
-struct ServerOptions
-{
-    /** Unix-domain socket path ("" = no Unix listener). */
-    std::string unixPath;
-    /** TCP port (-1 = no TCP listener; 0 = ephemeral, see tcpPort()). */
-    int tcpPort = -1;
-    /** TCP bind address; loopback by default (opt INTO exposure). */
-    std::string tcpHost = "127.0.0.1";
-
-    /** Concurrent connections; beyond this, accepts are rejected. */
-    size_t maxClients = 64;
-    /**
-     * Global admission bound: total cells executing across all
-     * clients. Requests beyond it queue at the admission gate
-     * (backpressure), keeping the task graph saturated but bounded.
-     */
-    size_t maxInFlightCells = 1024;
-    /** Per-client quota: cells per request; larger ones get kError. */
-    size_t maxCellsPerRequest = 4096;
-    /** Frame payload bound; oversized frames drop the connection. */
-    uint64_t maxFrameBytes = kMaxFrameBytesDefault;
-    /**
-     * How long a connection may sit idle between requests before the
-     * server closes it — cleanly: no kError frame, not counted as a
-     * disconnect, and the client transparently reconnects on its next
-     * run(). Negative (default) keeps idle connections indefinitely;
-     * mid-frame stalls are bounded by kFrameStallTimeoutSeconds
-     * regardless.
-     */
-    double idleTimeoutSeconds = -1.0;
-    /**
-     * Force every request onto this store root, ignoring the
-     * client-supplied StorePolicy ("" = honor the request). A shared
-     * daemon wants one warm store, not one per client's cwd.
-     */
-    std::string forceStoreDir;
-
-    /** Dispatch: cells in flight per registered worker. */
-    size_t maxWorkerInFlight = 4;
-    /** Dispatch: re-dispatch a worker-held cell after this. */
-    double jobTimeoutSeconds = 600.0;
-
-    /**
-     * Background store GC (`?gc-bytes=` / `?gc-age=`): with a bound
-     * set AND a forced store root, a maintenance thread sweeps the
-     * store every gcIntervalSeconds (store/lifecycle/gc.h — LRU,
-     * lease-aware, never touches in-flight entries). Both bounds 0
-     * (the default) means no GC thread at all.
-     */
-    uint64_t gcBytes = 0;
-    double gcAgeSeconds = 0.0;
-    double gcIntervalSeconds = 300.0;
-    /**
-     * Scheduling policy (`?sched=`) for the dispatcher's pending
-     * queue AND the local executor's task-graph ready order.
-     * Responses stay bit-identical to kFifo under every policy.
-     */
-    sched::SchedPolicy schedPolicy = sched::SchedPolicy::kFifo;
-};
-
-/**
- * The ServerOptions equivalent of @p endpoints: every endpoint must
- * be a listener (unix:/tcp:, Role::kServer); limits, timeouts and the
- * forced store root are taken from the FIRST endpoint (later ones
- * contribute only their listener). Throws std::runtime_error on an
- * empty list or a non-listener scheme.
- */
-ServerOptions serverOptionsFor(const std::vector<Endpoint> &endpoints);
-
 /** Monotonic counters (torn reads are fine; they are telemetry). */
 struct ServerStats
 {
@@ -161,10 +86,13 @@ class Server
   public:
     /** The Endpoint is the config surface: one listener... */
     explicit Server(const Endpoint &endpoint);
-    /** ...or several (unix + tcp), first one carries the options. */
+    /**
+     * ...or several (unix + tcp). The FIRST endpoint carries the
+     * limits, timeouts, forced store root, GC and sched settings;
+     * later ones add only a listener. Throws std::runtime_error on an
+     * empty list or a scheme other than unix:/tcp:.
+     */
     explicit Server(const std::vector<Endpoint> &endpoints);
-    /** DEPRECATED forwarder (one release); prefer the Endpoint ctors. */
-    explicit Server(ServerOptions opts);
     ~Server();
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
@@ -188,9 +116,6 @@ class Server
     int tcpPort() const { return bound_tcp_port_; }
 
     ServerStats stats() const;
-
-    /** The effective options (tools echo the listener lines). */
-    const ServerOptions &options() const { return opts_; }
 
     /** The shared service (tests pre-seed calibrations through it). */
     AnalysisService &service() { return service_; }
@@ -216,7 +141,10 @@ class Server
     void release(size_t cells);
     void reapFinished();
 
-    ServerOptions opts_;
+    /** The settings: the first endpoint's (see the constructor). */
+    const Endpoint &config() const { return endpoints_.front(); }
+
+    std::vector<Endpoint> endpoints_;
     AnalysisService service_;
     Dispatcher dispatcher_;
 

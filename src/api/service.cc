@@ -96,11 +96,9 @@ AnalysisService::executorOptions(const AnalysisRequest &req)
     driver::BatchRunner::Options opts;
     opts.numThreads = req.exec.numThreads;
     opts.storeDir = req.store.storeDir;
-    opts.calibrationCacheDir = req.store.calibrationCacheDir;
     opts.reuseStoredResults = req.store.reuseStoredResults;
     opts.shareProfiles =
         req.exec.pipeline == ExecutionPolicy::Pipeline::kShared;
-    opts.shareTiming = req.exec.shareTiming;
     opts.engine = req.exec.engine;
     return opts;
 }
@@ -117,10 +115,8 @@ AnalysisService::executorHandleFor(const AnalysisRequest &req)
     // builds a fresh executor instead of mutating a running one).
     const std::string key =
         std::to_string(opts.numThreads) + "|" + opts.storeDir + "|" +
-        opts.calibrationCacheDir + "|" +
         (opts.shareProfiles ? "S" : "s") +
         (opts.reuseStoredResults ? "R" : "r") +
-        (opts.shareTiming ? "T" : "t") +
         std::to_string(static_cast<int>(opts.engine)) + "|" +
         sched::schedPolicyName(opts.schedPolicy);
     Executor &executor = executors_[key];

@@ -22,6 +22,12 @@ namespace api {
 
 namespace {
 
+/** Collect: first sleep between response scans, and its backoff cap. */
+constexpr double kPollInitialSeconds = 0.002;
+constexpr double kPollMaxSeconds = 0.25;
+/** Serve: seconds between scans while other workers hold the claims. */
+constexpr double kIdlePollSeconds = 0.05;
+
 std::string
 jobsDir(const std::string &dir)
 {
@@ -186,9 +192,9 @@ spoolSubmit(const std::string &dir, const AnalysisRequest &req)
 }
 
 ServeStats
-spoolServe(const std::string &dir, AnalysisService &service,
-           const ServeOptions &opts)
+spoolServe(const Endpoint &ep, AnalysisService &service, bool drain)
 {
+    const std::string &dir = ep.path;
     ServeStats stats;
     // Claim-order pricing: job files are content-addressed and
     // immutable, so an id priced once stays priced across passes.
@@ -197,7 +203,7 @@ spoolServe(const std::string &dir, AnalysisService &service,
     // claim time like before.
     std::map<std::string, double> costs;
     sched::CostModel costModel;
-    const bool costed = opts.policy != sched::SchedPolicy::kFifo;
+    const bool costed = ep.schedPolicy != sched::SchedPolicy::kFifo;
     for (;;) {
         bool executedThisPass = false;
         bool allAnswered = true;
@@ -214,7 +220,7 @@ spoolServe(const std::string &dir, AnalysisService &service,
                 costs.emplace(id, cost);
             }
             const bool biggest =
-                opts.policy == sched::SchedPolicy::kBiggestFirst;
+                ep.schedPolicy == sched::SchedPolicy::kBiggestFirst;
             // stable_sort over the sorted listing: ties (answered
             // jobs, equal costs) keep deterministic id order.
             std::stable_sort(
@@ -231,13 +237,14 @@ spoolServe(const std::string &dir, AnalysisService &service,
                 });
         }
         for (const std::string &id : ids) {
-            if (opts.maxJobs && stats.executed >= opts.maxJobs)
+            if (ep.limits.maxJobs &&
+                stats.executed >= ep.limits.maxJobs)
                 return stats;
             if (fileExists(responsePath(dir, id)))
                 continue;
             allAnswered = false;
             store::Lease claim = store::tryAcquireLease(
-                claimPath(dir, id), opts.claimStaleAfterMs);
+                claimPath(dir, id), ep.timeouts.claimStaleMs);
             if (!claim.held())
                 continue; // another live worker has it
             // Re-check under the claim: the previous holder may have
@@ -285,23 +292,23 @@ spoolServe(const std::string &dir, AnalysisService &service,
             executedThisPass = true;
             // claim releases here (RAII) — after the response landed.
         }
-        if (allAnswered || !opts.drain)
+        if (allAnswered || !drain)
             return stats;
         if (!executedThisPass) {
             // Everything unanswered is claimed by live workers (or
             // freshly stalled): wait for them, stealing once their
             // claims go stale.
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                opts.idlePollSeconds));
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(kIdlePollSeconds));
         }
     }
 }
 
 AnalysisResponse
-spoolCollect(const std::string &dir, const AnalysisRequest &req,
-             const SpoolOptions &opts)
+spoolCollect(const Endpoint &ep, const AnalysisRequest &req)
 {
     validateRequest(req);
+    const std::string &dir = ep.path;
     const std::vector<SpoolCell> cells = spoolCells(req);
     AnalysisResponse resp = makeResponseShell(req);
     resp.cells.resize(cells.size());
@@ -323,8 +330,8 @@ spoolCollect(const std::string &dir, const AnalysisRequest &req,
     const Clock::time_point deadline =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(
-                               opts.timeoutSeconds));
-    double poll_seconds = opts.pollInitialSeconds;
+                               ep.timeouts.collectSeconds));
+    double poll_seconds = kPollInitialSeconds;
     while (missing > 0) {
         bool progressed = false;
         for (size_t i = 0; i < cells.size(); ++i) {
@@ -366,10 +373,9 @@ spoolCollect(const std::string &dir, const AnalysisRequest &req,
         // Exponential backoff while idle (snapping back on progress):
         // hot responses are picked up within milliseconds, a long
         // cold batch is polled a few times a second instead of 50.
-        poll_seconds = progressed
-                           ? opts.pollInitialSeconds
-                           : std::min(poll_seconds * 2.0,
-                                      opts.pollMaxSeconds);
+        poll_seconds = progressed ? kPollInitialSeconds
+                                  : std::min(poll_seconds * 2.0,
+                                             kPollMaxSeconds);
         std::this_thread::sleep_for(
             std::chrono::duration<double>(poll_seconds));
     }
@@ -377,41 +383,12 @@ spoolCollect(const std::string &dir, const AnalysisRequest &req,
 }
 
 AnalysisResponse
-spoolCollect(const std::string &dir, const AnalysisRequest &req,
-             double timeout_seconds)
+runSpooled(const Endpoint &ep, const AnalysisRequest &req,
+           AnalysisService &service)
 {
-    SpoolOptions opts;
-    opts.timeoutSeconds = timeout_seconds;
-    return spoolCollect(dir, req, opts);
-}
-
-AnalysisResponse
-runSpooled(const std::string &dir, const AnalysisRequest &req,
-           AnalysisService &service, const SpoolOptions &opts)
-{
-    spoolSubmit(dir, req);
-    spoolServe(dir, service);
-    return spoolCollect(dir, req, opts);
-}
-
-SpoolOptions
-spoolOptionsFor(const Endpoint &ep)
-{
-    SpoolOptions opts;
-    opts.timeoutSeconds = ep.timeouts.collectSeconds;
-    opts.pollInitialSeconds = ep.timeouts.pollInitialSeconds;
-    opts.pollMaxSeconds = ep.timeouts.pollMaxSeconds;
-    return opts;
-}
-
-ServeOptions
-spoolServeOptionsFor(const Endpoint &ep)
-{
-    ServeOptions opts;
-    opts.maxJobs = ep.limits.maxJobs;
-    opts.claimStaleAfterMs = ep.timeouts.claimStaleMs;
-    opts.policy = ep.schedPolicy;
-    return opts;
+    spoolSubmit(ep.path, req);
+    spoolServe(ep, service);
+    return spoolCollect(ep, req);
 }
 
 } // namespace api

@@ -39,8 +39,6 @@
 
 #include "api/request.h"
 #include "api/service.h"
-#include "sched/policy.h"
-#include "store/lease.h"
 
 namespace gpuperf {
 namespace api {
@@ -85,28 +83,6 @@ std::vector<SpoolCell> spoolCells(const AnalysisRequest &req);
 std::vector<std::string> spoolJobIds(const AnalysisRequest &req);
 
 /**
- * Collection-side tuning shared by spoolCollect and runSpooled. The
- * poll interval backs off exponentially from pollInitialSeconds to
- * pollMaxSeconds while nothing new arrives (and snaps back on
- * progress), so a small hot batch is picked up in milliseconds while
- * a large cold one doesn't burn a CPU polling for minutes.
- */
-struct SpoolOptions
-{
-    /**
-     * Deadline for the whole collect; cells with no response by then
-     * fail with a timeout error. Sized for a large COLD batch (every
-     * calibration and funcsim running for real) — the previous
-     * hard-coded 60 s timed those out spuriously.
-     */
-    double timeoutSeconds = 600.0;
-    /** First sleep between response scans. */
-    double pollInitialSeconds = 0.002;
-    /** Backoff cap for the scan interval. */
-    double pollMaxSeconds = 0.25;
-};
-
-/**
  * Serialize @p req's cells into @p dir (creating jobs/ and
  * responses/). Existing job files for the same ids are left in place
  * (idempotent resubmission). Returns the job ids, kernel-major.
@@ -115,31 +91,6 @@ struct SpoolOptions
  */
 std::vector<std::string> spoolSubmit(const std::string &dir,
                                      const AnalysisRequest &req);
-
-struct ServeOptions
-{
-    /**
-     * Keep scanning (and stealing stale claims) until every job in
-     * the directory has a response. false = one pass: claim what is
-     * claimable now, then return.
-     */
-    bool drain = true;
-    /** Stop after this many executed jobs (0 = unlimited). */
-    size_t maxJobs = 0;
-    /** Claim staleness threshold (crash-steal latency). */
-    int64_t claimStaleAfterMs = store::kLeaseStaleAfterMsDefault;
-    /** Seconds between scans while other workers hold the claims. */
-    double idlePollSeconds = 0.05;
-    /**
-     * Claim order within each scan (`?sched=`): kSjf claims the
-     * cheapest-predicted unanswered job first, kBiggestFirst the
-     * dearest; kFairShare degrades to kSjf (a pull-based worker has
-     * no client queue to arbitrate). Costs are predicted from the
-     * job file's launch shape (api/cell_cost.h); responses stay
-     * bit-identical to kFifo — only the claim order moves.
-     */
-    sched::SchedPolicy policy = sched::SchedPolicy::kFifo;
-};
 
 struct ServeStats
 {
@@ -150,31 +101,42 @@ struct ServeStats
 };
 
 /**
- * Work @p dir: claim unanswered jobs, execute each through @p service
- * and write its response file. Never throws for per-job problems — a
- * malformed job file produces a failed-cell response so the parent's
- * collect terminates (a crash here would instead park the job until
- * its claim staled).
+ * Work the spool directory @p ep.path: claim unanswered jobs, execute
+ * each through @p service and write its response file. Never throws
+ * for per-job problems — a malformed job file produces a failed-cell
+ * response so the parent's collect terminates (a crash here would
+ * instead park the job until its claim staled).
+ *
+ * Settings from @p ep: max-jobs (stop after N executed jobs, 0 =
+ * unlimited), claim-stale-ms (crash-steal latency) and sched, the
+ * claim order within each scan: kSjf claims the cheapest-predicted
+ * unanswered job first, kBiggestFirst the dearest; kFairShare
+ * degrades to kSjf (a pull-based worker has no client queue to
+ * arbitrate). Costs are predicted from the job file's launch shape
+ * (api/cell_cost.h); responses stay bit-identical to kFifo — only
+ * the claim order moves.
+ *
+ * @p drain keeps scanning (and stealing stale claims) until every
+ * job in the directory has a response; false = one pass: claim what
+ * is claimable now, then return.
  */
-ServeStats spoolServe(const std::string &dir, AnalysisService &service,
-                      const ServeOptions &opts = {});
+ServeStats spoolServe(const Endpoint &ep, AnalysisService &service,
+                      bool drain = true);
 
 /**
- * Wait for every response of @p req under @p dir and assemble them
- * into one kernel-major AnalysisResponse — bit-identical to an
+ * Wait for every response of @p req under @p ep.path and assemble
+ * them into one kernel-major AnalysisResponse — bit-identical to an
  * in-process AnalysisService::run(req) (pinned by tests and the CI
  * api-smoke diff). Cells whose responses have not appeared within
- * @p opts.timeoutSeconds come back ok == false with a timeout error,
- * labeled with their (kernel, spec) names from the request.
+ * the endpoint's timeout (`?timeout=`, default 600 s — sized for a
+ * large COLD batch) come back ok == false with a timeout error,
+ * labeled with their (kernel, spec) names from the request. The
+ * response scan backs off exponentially while nothing new arrives
+ * (and snaps back on progress), so a small hot batch is picked up in
+ * milliseconds while a large cold one doesn't burn a CPU polling.
  */
-AnalysisResponse spoolCollect(const std::string &dir,
-                              const AnalysisRequest &req,
-                              const SpoolOptions &opts = {});
-
-/** Compatibility shim: collect with only the deadline overridden. */
-AnalysisResponse spoolCollect(const std::string &dir,
-                              const AnalysisRequest &req,
-                              double timeout_seconds);
+AnalysisResponse spoolCollect(const Endpoint &ep,
+                              const AnalysisRequest &req);
 
 /**
  * Convenience: submit, serve in-process until drained, collect.
@@ -182,18 +144,9 @@ AnalysisResponse spoolCollect(const std::string &dir,
  * deserialize) inside one process; tests use it to pin spool ==
  * in-process bit-identity without forking.
  */
-AnalysisResponse runSpooled(const std::string &dir,
+AnalysisResponse runSpooled(const Endpoint &ep,
                             const AnalysisRequest &req,
-                            AnalysisService &service,
-                            const SpoolOptions &opts = {});
-
-// --- Endpoint derivation (api/endpoint.h is the config surface) -------
-
-/** Collect-side options from @p ep (timeout, poll backoff). */
-SpoolOptions spoolOptionsFor(const Endpoint &ep);
-
-/** Serve-side options from @p ep (max-jobs, claim-stale-ms). */
-ServeOptions spoolServeOptionsFor(const Endpoint &ep);
+                            AnalysisService &service);
 
 } // namespace api
 } // namespace gpuperf

@@ -164,9 +164,8 @@ class InProcessTransport : public Transport
 class SpoolTransport : public Transport
 {
   public:
-    SpoolTransport(std::string dir, AnalysisService *local,
-                   SpoolOptions opts)
-        : dir_(std::move(dir)), local_(local), opts_(opts)
+    SpoolTransport(const Endpoint &ep, AnalysisService *local)
+        : ep_(ep), local_(local)
     {
     }
 
@@ -175,17 +174,16 @@ class SpoolTransport : public Transport
     {
         // No streaming wire through a directory: degrade to collect.
         if (local_)
-            return runSpooled(dir_, req, *local_, opts_);
-        spoolSubmit(dir_, req);
-        return spoolCollect(dir_, req, opts_);
+            return runSpooled(ep_, req, *local_);
+        spoolSubmit(ep_.path, req);
+        return spoolCollect(ep_, req);
     }
 
-    std::string describe() const override { return "spool:" + dir_; }
+    std::string describe() const override { return ep_.uri(); }
 
   private:
-    std::string dir_;
+    Endpoint ep_;
     AnalysisService *local_;
-    SpoolOptions opts_;
 };
 
 /**
@@ -235,8 +233,7 @@ makeTransport(const Endpoint &ep, AnalysisService *local)
         transport = std::make_unique<InProcessTransport>(local);
         break;
     case Endpoint::Scheme::kSpool:
-        transport = std::make_unique<SpoolTransport>(
-            ep.path, local, spoolOptionsFor(ep));
+        transport = std::make_unique<SpoolTransport>(ep, local);
         break;
     case Endpoint::Scheme::kUnix:
     case Endpoint::Scheme::kTcp: {

@@ -361,40 +361,34 @@ BatchRunner::specKey(const arch::GpuSpec &spec)
 }
 
 std::shared_ptr<const model::CalibrationTables>
-BatchRunner::runCalibration(const arch::GpuSpec &spec,
-                            const std::string &key)
+BatchRunner::runCalibration(const arch::GpuSpec &spec)
 {
     ++calibrationsComputed_;
     model::AnalysisSession session(spec);
-    if (!options_.calibrationCacheDir.empty()) {
-        session.calibrator().setCacheFile(
-            options_.calibrationCacheDir + "/" +
-            store::fileStem(spec.name, key) + ".cache");
-    }
     return session.shareCalibration();
 }
 
 std::shared_ptr<const model::CalibrationTables>
-BatchRunner::calibrate(const arch::GpuSpec &spec,
-                       const std::string &key)
+BatchRunner::calibrate(const arch::GpuSpec &spec)
 {
     if (!calibrationStore_)
-        return runCalibration(spec, key);
+        return runCalibration(spec);
 
     // Concurrent processes sharing this store split the
     // microbenchmark sweeps: only the holder of the spec's lease
     // runs this one, everyone else polls for the published entry
     // (awaitPublished — the same dance profiles and timings use).
-    // The under-lease probe is a full load: calibrations are rare
-    // and expensive, so an extra counted miss is noise here.
+    // The under-lease probe is an uncounted full read (a corrupt
+    // entry fails it too), so a lookup counts one hit or miss.
     store::Lease lease;
     if (auto tables = awaitPublished(
             [&] { return calibrationStore_->load(spec); },
             [&] { return calibrationStore_->tryAcquireLease(spec); },
-            [] { return true; }, &lease, /*poll_ms=*/20)) {
+            [&] { return calibrationStore_->exists(spec); }, &lease,
+            /*poll_ms=*/20)) {
         return tables;
     }
-    auto tables = runCalibration(spec, key);
+    auto tables = runCalibration(spec);
     calibrationStore_->save(spec, *tables);
     return tables; // lease marker removed after the save
 }
@@ -526,7 +520,7 @@ BatchRunner::calibrationFor(const arch::GpuSpec &spec)
 {
     const std::string key = specKey(spec);
     return calibrations_.getOrCompute(
-        key, [&]() { return calibrate(spec, key); });
+        key, [&]() { return calibrate(spec); });
 }
 
 std::shared_ptr<model::GlobalBenchMemo>
@@ -972,22 +966,16 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                     // runs — which a one-thread pool never reaches.
                     auto prof = ensure_profile(pc->key.str(), kc, spec,
                                                pslot, prep_node);
-                    TaskGraph::NodeId timing_dep = prof.first;
-                    std::shared_ptr<TimingSlot> tslot;
-                    if (options_.shareTiming) {
-                        // One timing node per content key: profile
-                        // nodes are per content key too, so a timing
-                        // node always reads the one profile slot its
-                        // key names.
-                        const std::string tkey =
-                            store::TimingStore::keyFor(
-                                pc->key,
-                                arch::TimingFingerprint::of(*spec));
-                        auto t =
-                            ensure_timing(tkey, kc, spec, prof);
-                        timing_dep = t.first;
-                        tslot = t.second;
-                    }
+                    // One timing node per content key: profile
+                    // nodes are per content key too, so a timing
+                    // node always reads the one profile slot its key
+                    // names.
+                    const std::string tkey = store::TimingStore::keyFor(
+                        pc->key, arch::TimingFingerprint::of(*spec));
+                    const auto timing =
+                        ensure_timing(tkey, kc, spec, prof);
+                    const std::shared_ptr<TimingSlot> tslot =
+                        timing.second;
                     auto prof_slot = prof.second;
                     // Predicted analyze cost for the priority ready
                     // orders: the observation side-channel's EWMA
@@ -1036,7 +1024,7 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                     if (prof_slot->error)
                                         std::rethrow_exception(
                                             prof_slot->error);
-                                    if (tslot && tslot->error)
+                                    if (tslot->error)
                                         std::rethrow_exception(
                                             tslot->error);
                                     auto profile = prof_slot->profile;
@@ -1046,12 +1034,9 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                         options_.engine,
                                         [&](model::AnalysisSession
                                                 &session) {
-                                            if (tslot)
-                                                return session.analyze(
-                                                    profile,
-                                                    tslot->result);
                                             return session.analyze(
-                                                profile);
+                                                profile,
+                                                tslot->result);
                                         });
                                 });
                             if (resultStore_ && r.ok) {
@@ -1102,7 +1087,7 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                 }
                             }
                         },
-                        {prof.first, timing_dep}, analyze_cost);
+                        {prof.first, timing.first}, analyze_cost);
                     } catch (...) {
                         if (!delivered) {
                             deliver(index,

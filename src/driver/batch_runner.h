@@ -129,12 +129,6 @@ class BatchRunner
         /** Worker threads; 0 = one per hardware thread. */
         int numThreads = 0;
         /**
-         * Directory for per-spec calibration cache files shared
-         * across processes ("" = in-memory sharing only). Legacy
-         * text format; prefer storeDir.
-         */
-        std::string calibrationCacheDir;
-        /**
          * Root of the persistent binary store ("" = disabled).
          * Profiles, calibration tables and finished results are
          * kept in subdirectories and reused across process restarts;
@@ -148,8 +142,16 @@ class BatchRunner
          * reference per-cell pipeline (each cell re-simulates, and
          * the profile/result stores are bypassed — profiles are the
          * store's currency; calibration persistence still applies).
-         * Results are bit-identical either way. Exists for
-         * benchmarking and differential testing.
+         * The shared pipeline also memoizes timing replays per
+         * (profile key, timing fingerprint): cells whose specs differ
+         * only in timing-irrelevant fields — and repeated cells whose
+         * result-store keys differ (another sweep grid, another
+         * calibration, a renamed case) — run zero timing
+         * simulations, and with storeDir set the memo persists
+         * through the TimingStore. Results are bit-identical either
+         * way (the replay engines are deterministic functions of
+         * exactly that key). Exists for benchmarking and
+         * differential testing.
          */
         bool shareProfiles = true;
         /**
@@ -160,19 +162,6 @@ class BatchRunner
          * this switch only gates serving them back.
          */
         bool reuseStoredResults = true;
-        /**
-         * Memoize timing replays per (profile key, timing
-         * fingerprint): cells whose specs differ only in
-         * timing-irrelevant fields — and repeated cells whose
-         * result-store keys differ (another sweep grid, another
-         * calibration, a renamed case) — run zero timing
-         * simulations. With storeDir set the memo persists through
-         * the TimingStore. Results are bit-identical either way (the
-         * replay engines are deterministic functions of exactly that
-         * key). Only applies with shareProfiles (the per-cell
-         * reference pipeline shares nothing by design).
-         */
-        bool shareTiming = true;
         /**
          * Timing replay engine for every session and standalone
          * replay this runner creates. The engines are bit-identical
@@ -402,11 +391,11 @@ class BatchRunner
      * calibrationFor() wraps it in the OnceMap).
      */
     std::shared_ptr<const model::CalibrationTables>
-    calibrate(const arch::GpuSpec &spec, const std::string &key);
+    calibrate(const arch::GpuSpec &spec);
 
     /** The sweep itself, unconditionally (counts the run). */
     std::shared_ptr<const model::CalibrationTables>
-    runCalibration(const arch::GpuSpec &spec, const std::string &key);
+    runCalibration(const arch::GpuSpec &spec);
 
     /**
      * The timing memo's compute half: serve (profile key, timing fp)

@@ -1,11 +1,7 @@
 #include "model/calibration.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 
 #include "common/logging.h"
 #include "model/microbench.h"
@@ -175,13 +171,6 @@ Calibrator::calibrate()
 }
 
 void
-Calibrator::setCacheFile(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    cacheFile_ = path;
-}
-
-void
 Calibrator::setTablesForTesting(CalibrationTables tables)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -197,76 +186,6 @@ Calibrator::adoptTables(std::shared_ptr<const CalibrationTables> tables)
     tables_ = std::move(tables);
 }
 
-std::string
-Calibrator::fingerprint() const
-{
-    // Full-spec fingerprint so a cache file can never be reused for a
-    // device that simulates differently in any way.
-    return "v4|" + device_.spec().fingerprint();
-}
-
-bool
-Calibrator::loadCache()
-{
-    if (cacheFile_.empty())
-        return false;
-    std::ifstream in(cacheFile_);
-    if (!in)
-        return false;
-    std::string line;
-    if (!std::getline(in, line) || line != fingerprint())
-        return false;
-    CalibrationTables t;
-    if (!(in >> t.maxWarps >> t.bytesPerPass) || t.maxWarps <= 0 ||
-        t.maxWarps > 1024) {
-        return false;
-    }
-    for (auto &table : t.instrThroughput) {
-        table.assign(t.maxWarps + 1, 0.0);
-        for (int w = 1; w <= t.maxWarps; ++w) {
-            if (!(in >> table[w]))
-                return false;
-        }
-    }
-    t.sharedPassThroughput.assign(t.maxWarps + 1, 0.0);
-    for (int w = 1; w <= t.maxWarps; ++w) {
-        if (!(in >> t.sharedPassThroughput[w]))
-            return false;
-    }
-    tables_ = std::make_shared<const CalibrationTables>(std::move(t));
-    return true;
-}
-
-void
-Calibrator::saveCache() const
-{
-    if (cacheFile_.empty() || !tables_)
-        return;
-    // Write-then-rename so concurrent readers never see a torn file.
-    const std::string tmp =
-        cacheFile_ + ".tmp." + std::to_string(::getpid());
-    std::ofstream out(tmp);
-    if (!out) {
-        warn("cannot write calibration cache '%s'", cacheFile_.c_str());
-        return;
-    }
-    out << fingerprint() << "\n";
-    out << tables_->maxWarps << " " << tables_->bytesPerPass << "\n";
-    out.precision(17);
-    for (const auto &table : tables_->instrThroughput) {
-        for (int w = 1; w <= tables_->maxWarps; ++w)
-            out << table[w] << " ";
-        out << "\n";
-    }
-    for (int w = 1; w <= tables_->maxWarps; ++w)
-        out << tables_->sharedPassThroughput[w] << " ";
-    out << "\n";
-    out.close();
-    if (std::rename(tmp.c_str(), cacheFile_.c_str()) != 0)
-        warn("cannot move calibration cache into '%s'",
-             cacheFile_.c_str());
-}
-
 const CalibrationTables &
 Calibrator::tables()
 {
@@ -277,12 +196,8 @@ std::shared_ptr<const CalibrationTables>
 Calibrator::sharedTables()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!tables_) {
-        if (!loadCache()) {
-            calibrate();
-            saveCache();
-        }
-    }
+    if (!tables_)
+        calibrate();
     return tables_;
 }
 

@@ -126,13 +126,6 @@ class Calibrator
     /** This calibrator's memo (always non-null), for sharing onward. */
     std::shared_ptr<GlobalBenchMemo> globalMemo() const;
 
-    /**
-     * Cache the tables in @p path: tables() loads them if the file
-     * exists and matches this device, and writes it after calibrating.
-     * Avoids re-running the microbenchmark sweep in every process.
-     */
-    void setCacheFile(const std::string &path);
-
     /** Inject tables directly (unit tests of downstream consumers). */
     void setTablesForTesting(CalibrationTables tables);
 
@@ -158,17 +151,11 @@ class Calibrator
 
     void calibrate();
 
-    /** Spec-derived string guarding cache-file validity. */
-    std::string fingerprint() const;
-    bool loadCache();
-    void saveCache() const;
-
     SimulatedDevice &device_;
-    /** Guards tables_, the memo handle, cacheFile_ and device runs. */
+    /** Guards tables_, the memo handle and device runs. */
     mutable std::mutex mutex_;
     std::shared_ptr<const CalibrationTables> tables_;
     std::shared_ptr<GlobalBenchMemo> globalMemo_;
-    std::string cacheFile_;
 };
 
 } // namespace model

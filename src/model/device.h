@@ -12,7 +12,6 @@
 #define GPUPERF_MODEL_DEVICE_H
 
 #include <memory>
-#include <string>
 
 #include "arch/gpu_spec.h"
 #include "funcsim/interpreter.h"
@@ -27,26 +26,19 @@ struct CalibrationTables; // model/calibration.h
 /**
  * Construction-time configuration shared by SimulatedDevice and
  * AnalysisSession — the one place the old ctor-overload sprawl
- * (calibration-cache string + engine enum + adopted-tables variants)
- * collapsed into. Every field has a sensible default, so callers set
- * only what they mean:
+ * (engine enum + adopted-tables variants) collapsed into. Every
+ * field has a sensible default, so callers set only what they mean:
  *
  *     model::SessionConfig cfg;
  *     cfg.engine = timing::ReplayEngine::kAuto;
  *     model::AnalysisSession session(spec, cfg);
  *
- * SimulatedDevice reads only `engine`; the calibration fields apply
- * to AnalysisSession (which owns a calibrator).
+ * SimulatedDevice reads only `engine`; `tables` applies to
+ * AnalysisSession (which owns a calibrator). Tables persist across
+ * processes through store::CalibrationStore.
  */
 struct SessionConfig
 {
-    /**
-     * Optional file path where calibration tables are cached across
-     * processes ("" = no cache). Legacy text format; batch callers
-     * should prefer a store directory (store::CalibrationStore).
-     */
-    std::string calibrationCache;
-
     /**
      * Timing replay engine for the device. kAuto selects per launch;
      * the engines are bit-identical, so this never changes results —

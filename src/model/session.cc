@@ -10,8 +10,6 @@ AnalysisSession::AnalysisSession(const arch::GpuSpec &spec,
     : device_(spec, config), calibrator_(device_), extractor_(spec),
       model_(calibrator_)
 {
-    if (!config.calibrationCache.empty())
-        calibrator_.setCacheFile(config.calibrationCache);
     if (config.tables)
         calibrator_.adoptTables(config.tables);
 }

@@ -44,11 +44,9 @@ class AnalysisSession
 {
   public:
     /**
-     * Configured construction: cache file, replay engine and adopted
-     * tables all come in through one SessionConfig (model/device.h)
-     * instead of a ladder of ctor overloads. (The PR 5 string/engine
-     * forwarders are gone; the default config keeps bare
-     * AnalysisSession(spec) working.)
+     * Configured construction: the replay engine and adopted tables
+     * come in through one SessionConfig (model/device.h); the default
+     * config keeps bare AnalysisSession(spec) working.
      */
     explicit AnalysisSession(const arch::GpuSpec &spec,
                              const SessionConfig &config = {});

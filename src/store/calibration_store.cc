@@ -1,5 +1,6 @@
 #include "store/calibration_store.h"
 
+#include "model/device.h"
 #include "store/codecs.h"
 #include "store/lifecycle/segment.h"
 #include "store/serializer.h"
@@ -21,22 +22,47 @@ CalibrationStore::path(const arch::GpuSpec &spec,
 }
 
 std::shared_ptr<const model::CalibrationTables>
-CalibrationStore::load(const arch::GpuSpec &spec) const
+CalibrationStore::read(const arch::GpuSpec &spec,
+                       StoreCounters *counters) const
 {
     const std::string key = spec.fingerprint();
     std::string payload;
     if (!readStoreEntry(dir_, fileStem(spec.name, key) + ".calibration",
-                        kFormatVersion, key, &payload, &counters_)) {
-        counters_.miss();
+                        kFormatVersion, key, &payload, counters))
         return nullptr;
-    }
     auto tables = std::make_shared<model::CalibrationTables>();
     ByteReader r(payload);
-    if (!readTables(r, tables.get()) || !r.atEnd()) {
-        counters_.miss();
+    if (!readTables(r, tables.get()) || !r.atEnd())
         return nullptr;
-    }
-    counters_.hit();
+    return tables;
+}
+
+std::shared_ptr<const model::CalibrationTables>
+CalibrationStore::load(const arch::GpuSpec &spec) const
+{
+    auto tables = read(spec, &counters_);
+    if (tables)
+        counters_.hit();
+    else
+        counters_.miss();
+    return tables;
+}
+
+bool
+CalibrationStore::exists(const arch::GpuSpec &spec) const
+{
+    return read(spec, nullptr) != nullptr;
+}
+
+std::shared_ptr<const model::CalibrationTables>
+CalibrationStore::loadOrCalibrate(const arch::GpuSpec &spec) const
+{
+    if (auto tables = load(spec))
+        return tables;
+    model::SimulatedDevice device(spec);
+    model::Calibrator calibrator(device);
+    auto tables = calibrator.sharedTables();
+    save(spec, *tables);
     return tables;
 }
 
@@ -58,6 +84,7 @@ CalibrationStore::saveBenchResults(const arch::GpuSpec &spec,
     // Merge with what is already stored so shapes measured by earlier
     // batches survive a batch that happened not to need them.
     std::vector<BenchEntry> merged = loadBenchResults(spec);
+    const size_t stored = merged.size();
     for (BenchEntry &e : entries) {
         bool known = false;
         for (const BenchEntry &m : merged) {
@@ -69,6 +96,8 @@ CalibrationStore::saveBenchResults(const arch::GpuSpec &spec,
         if (!known)
             merged.push_back(std::move(e));
     }
+    if (merged.size() == stored)
+        return true; // nothing new: the stored entry already says it
 
     const std::string key = "bench|" + spec.fingerprint();
     ByteWriter w;
@@ -95,7 +124,7 @@ CalibrationStore::leasePath(const arch::GpuSpec &spec) const
            ".lease";
 }
 
-CalibrationLease
+Lease
 CalibrationStore::tryAcquireLease(const arch::GpuSpec &spec) const
 {
     return store::tryAcquireLease(leasePath(spec), leaseStaleAfterMs_,
@@ -114,7 +143,7 @@ CalibrationStore::loadBenchResults(const arch::GpuSpec &spec) const
     const std::string key = "bench|" + spec.fingerprint();
     std::string payload;
     if (!readStoreEntry(dir_, fileStem(spec.name, key) + ".bench",
-                        kFormatVersion, key, &payload, &counters_)) {
+                        kFormatVersion, key, &payload)) {
         return {};
     }
     ByteReader r(payload);

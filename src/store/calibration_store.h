@@ -26,14 +26,6 @@
 namespace gpuperf {
 namespace store {
 
-/**
- * The calibration store's lease handle IS the generic store::Lease
- * (PR 5 generalized it; ProfileStore/TimingStore and the spool worker
- * protocol share the same mechanism). The alias keeps PR 4 callers
- * compiling.
- */
-using CalibrationLease = Lease;
-
 /** Thread-safe; load/save may be called from any worker. */
 class CalibrationStore
 {
@@ -49,9 +41,28 @@ class CalibrationStore
     /** @param dir store directory, created if absent. */
     explicit CalibrationStore(std::string dir);
 
-    /** Stored tables for @p spec, or nullptr on any miss. */
+    /**
+     * Stored tables for @p spec, or nullptr on any miss (a corrupt or
+     * foreign entry is a miss). Counts one hit or miss.
+     */
     std::shared_ptr<const model::CalibrationTables>
     load(const arch::GpuSpec &spec) const;
+
+    /**
+     * True iff load() would hit — the re-check under a freshly won
+     * lease. Reads the whole (small) entry, so a corrupt one fails
+     * here too, and counts nothing.
+     */
+    bool exists(const arch::GpuSpec &spec) const;
+
+    /**
+     * load(), or on a miss the microbenchmark sweep, saved for the
+     * next process. For single-process tools (benches, tests) that
+     * want calibration warm across runs; batch runs go through
+     * driver::BatchRunner, which also holds the cross-process lease.
+     */
+    std::shared_ptr<const model::CalibrationTables>
+    loadOrCalibrate(const arch::GpuSpec &spec) const;
 
     bool save(const arch::GpuSpec &spec,
               const model::CalibrationTables &tables) const;
@@ -69,11 +80,16 @@ class CalibrationStore
      * is not atomic across processes — two writers racing on one
      * store can each persist only their own merge (last rename wins),
      * which costs a re-measurement on a later run, never wrong data.
+     * A merge that adds no entry writes nothing.
      */
     bool saveBenchResults(const arch::GpuSpec &spec,
                           std::vector<BenchEntry> entries) const;
 
-    /** The stored benchmark results for @p spec (empty on a miss). */
+    /**
+     * The stored benchmark results for @p spec (empty on a miss).
+     * Not a counted lookup: bench results ride along with the tables,
+     * so this touches no counter.
+     */
     std::vector<BenchEntry>
     loadBenchResults(const arch::GpuSpec &spec) const;
 
@@ -108,7 +124,7 @@ class CalibrationStore
      * lease on success; an empty (not held) one while another LIVE
      * process holds it. A stale lease is broken and re-acquired.
      */
-    CalibrationLease tryAcquireLease(const arch::GpuSpec &spec) const;
+    Lease tryAcquireLease(const arch::GpuSpec &spec) const;
 
     /**
      * True while some process (possibly this one) holds a fresh
@@ -127,6 +143,10 @@ class CalibrationStore
     }
 
   private:
+    /** The stored tables, or nullptr; counts bytes into @p counters. */
+    std::shared_ptr<const model::CalibrationTables>
+    read(const arch::GpuSpec &spec, StoreCounters *counters) const;
+
     std::string path(const arch::GpuSpec &spec,
                      const std::string &key) const;
     std::string leasePath(const arch::GpuSpec &spec) const;

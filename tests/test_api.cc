@@ -56,6 +56,13 @@ freshDir(const std::string &tag)
     return dir;
 }
 
+/** The spool directory @p dir as an endpoint, with @p query options. */
+Endpoint
+spoolAt(const std::string &dir, const std::string &query = "")
+{
+    return Endpoint::parse("spool:" + dir + query);
+}
+
 model::CalibrationTables
 fakeTables()
 {
@@ -344,7 +351,7 @@ forgedInlineRequestJson(const std::string &instr_tuple, int regs)
         }
         return std::string("{}");
     }();
-    return "{\"schema\": 2, \"job\": \"forged\", \"kernels\": ["
+    return "{\"schema\": 3, \"job\": \"forged\", \"kernels\": ["
            "{\"name\": \"bad\", \"inline\": {\"kernel\": "
            "{\"name\": \"bad\", \"registers\": " +
            std::to_string(regs) +
@@ -360,10 +367,10 @@ forgedInlineRequestJson(const std::string &instr_tuple, int regs)
            spec_json +
            "], \"sweep\": {\"noBankConflicts\": false, "
            "\"warpsPerSm\": [], \"coalescingFractions\": []}, "
-           "\"store\": {\"dir\": \"\", \"calibrationCacheDir\": "
-           "\"\", \"reuseStoredResults\": true}, \"exec\": "
+           "\"store\": {\"dir\": \"\", "
+           "\"reuseStoredResults\": true}, \"exec\": "
            "{\"numThreads\": 1, \"engine\": \"event-driven\", "
-           "\"pipeline\": \"shared\", \"shareTiming\": true, "
+           "\"pipeline\": \"shared\", "
            "\"delivery\": \"collect\"}}";
 }
 
@@ -930,7 +937,7 @@ TEST(SpoolTest, MalformedSpecJobAnswersAsFailedCell)
     ASSERT_TRUE(saveRequestFile(spool + "/jobs/" + ids[0] + ".job",
                                 cellRequest(req, 0, 0), ids[0]));
     AnalysisService service;
-    const ServeStats stats = spoolServe(spool, service);
+    const ServeStats stats = spoolServe(spoolAt(spool), service);
     EXPECT_EQ(stats.executed, 1u);
     EXPECT_EQ(stats.failedCells, 1u);
 
@@ -970,7 +977,7 @@ TEST(SpoolTest, SpooledRunIsBitIdenticalToInProcess)
     const std::string spool = freshDir("spool");
     AnalysisService worker;
     const AnalysisResponse spooled =
-        runSpooled(spool, spooled_req, worker);
+        runSpooled(spoolAt(spool), spooled_req, worker);
     expectEqual(spooled, direct);
     EXPECT_GT(worker.executorFor(cellRequest(spooled_req, 0, 0))
                   .funcsimsComputed(),
@@ -1010,14 +1017,13 @@ TEST(SpoolTest, LiveClaimsAreRespectedAndReleasedOnesServed)
     AnalysisService service;
     // One claim pass (drain stays a call-site choice; everything
     // else comes off the spool: endpoint).
-    ServeOptions once = spoolServeOptionsFor(
-        Endpoint::parse("spool:" + spool, Endpoint::Role::kWorker));
-    once.drain = false;
-    EXPECT_EQ(spoolServe(spool, service, once).executed, 0u);
+    const Endpoint worker =
+        Endpoint::parse("spool:" + spool, Endpoint::Role::kWorker);
+    EXPECT_EQ(spoolServe(worker, service, /*drain=*/false).executed, 0u);
 
     // Released: the next pass executes it.
     claim.release();
-    EXPECT_EQ(spoolServe(spool, service, once).executed, 1u);
+    EXPECT_EQ(spoolServe(worker, service, /*drain=*/false).executed, 1u);
 }
 
 TEST(SpoolTest, CrashedWorkersClaimIsStolen)
@@ -1038,11 +1044,12 @@ TEST(SpoolTest, CrashedWorkersClaimIsStolen)
         marker << 999999999 << " " << 1 << "\n";
     }
     AnalysisService service;
-    const ServeStats stats = spoolServe(spool, service);
+    const ServeStats stats = spoolServe(spoolAt(spool), service);
     EXPECT_EQ(stats.executed, 1u);
     EXPECT_EQ(stats.failedCells, 0u);
 
-    const AnalysisResponse resp = spoolCollect(spool, req, 10.0);
+    const AnalysisResponse resp =
+        spoolCollect(spoolAt(spool, "?timeout=10"), req);
     ASSERT_EQ(resp.cells.size(), 1u);
     EXPECT_TRUE(resp.cells[0].ok) << resp.cells[0].error;
 }
@@ -1054,7 +1061,8 @@ TEST(SpoolTest, CollectTimesOutWithFailedCellsNotAHang)
     spoolSubmit(spool, req);
     // No worker serves: collect must come back with per-cell timeout
     // failures, names filled from the request.
-    const AnalysisResponse resp = spoolCollect(spool, req, 0.1);
+    const AnalysisResponse resp =
+        spoolCollect(spoolAt(spool, "?timeout=0.1"), req);
     ASSERT_EQ(resp.cells.size(),
               req.kernels.size() * req.specs.size());
     for (const driver::BatchResult &cell : resp.cells) {
@@ -1075,14 +1083,16 @@ TEST(SpoolTest, CollectSurvivesAnEmptyCellGrid)
     AnalysisRequest req = testRequest();
     req.specs.clear();
     const std::string spool = freshDir("spool-empty");
-    const AnalysisResponse resp = spoolCollect(spool, req, 0.1);
+    const AnalysisResponse resp =
+        spoolCollect(spoolAt(spool, "?timeout=0.1"), req);
     EXPECT_TRUE(resp.cells.empty());
     EXPECT_EQ(resp.numKernels, req.kernels.size());
     EXPECT_EQ(resp.numSpecs, 0u);
 
     req = testRequest();
     req.kernels.clear();
-    EXPECT_TRUE(spoolCollect(spool, req, 0.1).cells.empty());
+    EXPECT_TRUE(
+        spoolCollect(spoolAt(spool, "?timeout=0.1"), req).cells.empty());
 }
 
 TEST(SpoolTest, TimeoutCellsAreLabeledByPositionNotArithmetic)
@@ -1094,7 +1104,8 @@ TEST(SpoolTest, TimeoutCellsAreLabeledByPositionNotArithmetic)
     const AnalysisRequest req = testRequest();
     const std::string spool = freshDir("spool-labels");
     spoolSubmit(spool, req);
-    const AnalysisResponse resp = spoolCollect(spool, req, 0.1);
+    const AnalysisResponse resp =
+        spoolCollect(spoolAt(spool, "?timeout=0.1"), req);
     const auto cells = spoolCells(req);
     ASSERT_EQ(resp.cells.size(), cells.size());
     ASSERT_EQ(cells.size(),
@@ -1129,7 +1140,8 @@ TEST(SpoolTest, MalformedResponseFileIsLabeledAndSurfaced)
         spool + "/responses/" + cells[victim].id + ".resp",
         kSchemaVersion, cells[victim].id, "not a response"));
 
-    const AnalysisResponse resp = spoolCollect(spool, req, 0.1);
+    const AnalysisResponse resp =
+        spoolCollect(spoolAt(spool, "?timeout=0.1"), req);
     ASSERT_EQ(resp.cells.size(), cells.size());
     EXPECT_FALSE(resp.cells[victim].ok);
     EXPECT_NE(resp.cells[victim].error.find("malformed"),
@@ -1156,11 +1168,10 @@ TEST(SpoolTest, CollectBackoffStillDeliversLateResponses)
     std::thread server([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(300));
         AnalysisService service;
-        spoolServe(spool, service);
+        spoolServe(spoolAt(spool), service);
     });
-    const SpoolOptions opts = spoolOptionsFor(
-        Endpoint::parse("spool:" + spool + "?timeout=60"));
-    const AnalysisResponse resp = spoolCollect(spool, req, opts);
+    const AnalysisResponse resp =
+        spoolCollect(spoolAt(spool, "?timeout=60"), req);
     server.join();
     ASSERT_EQ(resp.cells.size(), 1u);
     EXPECT_TRUE(resp.cells[0].ok) << resp.cells[0].error;
@@ -1174,7 +1185,8 @@ TEST(SpoolTest, FailedCellsTravelThroughTheSpool)
     req.specs = {req.specs[0]};
     const std::string spool = freshDir("spool-failed");
     AnalysisService service;
-    const AnalysisResponse resp = runSpooled(spool, req, service);
+    const AnalysisResponse resp =
+        runSpooled(spoolAt(spool), req, service);
     ASSERT_EQ(resp.cells.size(), 1u);
     EXPECT_FALSE(resp.cells[0].ok);
     EXPECT_NE(resp.cells[0].error.find("no-such-factory"),

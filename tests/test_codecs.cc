@@ -119,7 +119,6 @@ fixtureRequests()
         req.sweep.warpsPerSm = {8.0, 16.5, -0.0};
         req.sweep.coalescingFractions = {0.5, kInf};
         req.store.storeDir = "/var/store-" + std::to_string(i);
-        req.store.calibrationCacheDir = i == 0 ? "cal" : "";
         req.store.reuseStoredResults = i != 1;
         req.exec.numThreads = static_cast<int>(i) * 3;
         req.exec.engine = static_cast<timing::ReplayEngine>(i);
@@ -127,7 +126,6 @@ fixtureRequests()
                                    : ExecutionPolicy::Pipeline::kShared;
         req.exec.delivery = i == 0 ? ExecutionPolicy::Delivery::kCollect
                                    : ExecutionPolicy::Delivery::kStream;
-        req.exec.shareTiming = i != 0;
     }
     return reqs;
 }
@@ -366,8 +364,8 @@ TEST(CodecGolden, RequestBytesArePinned)
     }
     const uint64_t bin_hash = fnv1a64(bin);
     const uint64_t json_hash = fnv1a64(json);
-    EXPECT_EQ(bin_hash, 0x1e3aa5c255f46f76ull) << std::hex << bin_hash;
-    EXPECT_EQ(json_hash, 0xf64946218f615e16ull) << std::hex << json_hash;
+    EXPECT_EQ(bin_hash, 0xa6f0f98769d09852ull) << std::hex << bin_hash;
+    EXPECT_EQ(json_hash, 0x62aea3cc842c3818ull) << std::hex << json_hash;
 }
 
 TEST(CodecGolden, ResponseBytesArePinned)
@@ -376,8 +374,8 @@ TEST(CodecGolden, ResponseBytesArePinned)
     const uint64_t bin = binaryHash(
         [&](store::ByteWriter &w) { api::writeResponse(w, resp); });
     const uint64_t json = fnv1a64(api::responseToJson(resp));
-    EXPECT_EQ(bin, 0x4ac7e3919a2d4898ull) << std::hex << bin;
-    EXPECT_EQ(json, 0x03a01feda8dc718cull) << std::hex << json;
+    EXPECT_EQ(bin, 0xe2d63c975ed884ddull) << std::hex << bin;
+    EXPECT_EQ(json, 0x6274c5bd199f7893ull) << std::hex << json;
 }
 
 TEST(CodecGolden, StoreEntryBytesArePinned)

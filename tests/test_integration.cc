@@ -5,12 +5,9 @@
  * machine stays within a documented band and that the bottleneck
  * identifications match the paper's findings.
  *
- * The calibration sweep is cached in the working directory so only the
- * first test process pays for it.
+ * The calibration sweep is kept in a calibration store under the
+ * working directory so only the first test process pays for it.
  */
-
-#include <cstdio>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -19,18 +16,18 @@
 #include "apps/spmv/traffic.h"
 #include "apps/tridiag/cyclic_reduction.h"
 #include "model/session.h"
+#include "store/calibration_store.h"
 
 namespace gpuperf {
 namespace model {
 namespace {
 
-const char *kCache = "test_calibration_gtx285.cache";
-
 SessionConfig
 cachedConfig()
 {
     SessionConfig config;
-    config.calibrationCache = kCache;
+    config.tables = store::CalibrationStore("integration_calibrations")
+                        .loadOrCalibrate(arch::GpuSpec::gtx285());
     return config;
 }
 
@@ -174,44 +171,6 @@ TEST(Integration, SpmvIsGlobalBoundAndAccuratelyModeled)
     // ELL slowest, BELL+IM middle, BELL+IMIV fastest.
     EXPECT_GT(times[0], times[1]);
     EXPECT_GT(times[1], times[2]);
-}
-
-TEST(Integration, CacheFileRoundTrips)
-{
-    // Two calibrators on the same cache agree exactly.
-    SimulatedDevice d1(arch::GpuSpec::gtx285());
-    Calibrator c1(d1);
-    c1.setCacheFile(kCache);
-    const CalibrationTables &t1 = c1.tables();
-
-    SimulatedDevice d2(arch::GpuSpec::gtx285());
-    Calibrator c2(d2);
-    c2.setCacheFile(kCache);
-    const CalibrationTables &t2 = c2.tables();
-    for (int w = 1; w <= t1.maxWarps; ++w) {
-        EXPECT_DOUBLE_EQ(t1.sharedPassThroughput[w],
-                         t2.sharedPassThroughput[w]);
-        EXPECT_DOUBLE_EQ(t1.instrThroughput[1][w],
-                         t2.instrThroughput[1][w]);
-    }
-}
-
-TEST(Integration, CorruptCacheIsRejected)
-{
-    const char *bad = "test_corrupt.cache";
-    {
-        std::ofstream out(bad);
-        out << "not-a-fingerprint\n1 2\n3 4\n";
-    }
-    SimulatedDevice d(arch::GpuSpec::gtx285());
-    Calibrator c(d);
-    c.setCacheFile(bad);
-    // Must ignore the bad file and produce sane tables via a real
-    // sweep (the sweep result then overwrites the file).
-    const CalibrationTables &t = c.tables();
-    EXPECT_EQ(t.maxWarps, 32);
-    EXPECT_GT(t.lookupInstr(arch::InstrType::TypeII, 16), 0.0);
-    std::remove(bad);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -27,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/client.h"
 #include "api/codecs.h"
 #include "api/endpoint.h"
 #include "api/request.h"
@@ -704,7 +706,7 @@ TEST(StoreStats, JsonCarriesEveryCounterAndTheLayerTotals)
     EXPECT_NE(server_json.find("\"gc_runs\""), std::string::npos);
 }
 
-TEST(StoreStats, EndpointParsesGcOptionsIntoServerOptions)
+TEST(StoreStats, ServerTakesItsSettingsFromTheFirstEndpoint)
 {
     const api::Endpoint ep = api::Endpoint::parse(
         "unix:/tmp/x.sock?store=/tmp/s&gc-bytes=1048576&gc-age=7200&"
@@ -713,16 +715,49 @@ TEST(StoreStats, EndpointParsesGcOptionsIntoServerOptions)
     EXPECT_EQ(ep.limits.gcBytes, 1048576u);
     EXPECT_EQ(ep.timeouts.gcAgeSeconds, 7200.0);
     EXPECT_EQ(ep.timeouts.gcIntervalSeconds, 30.0);
-
-    const api::ServerOptions opts = api::serverOptionsFor({ep});
-    EXPECT_EQ(opts.gcBytes, 1048576u);
-    EXPECT_EQ(opts.gcAgeSeconds, 7200.0);
-    EXPECT_EQ(opts.gcIntervalSeconds, 30.0);
-    EXPECT_EQ(opts.forceStoreDir, "/tmp/s");
-
+    EXPECT_EQ(ep.storeDir, "/tmp/s");
     EXPECT_THROW(api::Endpoint::parse("inproc:?gc-bytes=never"),
                  std::runtime_error)
         << "a non-numeric gc budget must fail fast";
+
+    // The first endpoint's store and GC settings start the GC
+    // thread; the second endpoint only adds a listener, so its
+    // max-cells=1 quota does not apply.
+    const std::string root = freshDir("first-endpoint");
+    const std::string sock = "/tmp/gpuperf-lc-" +
+                             std::to_string(::getpid()) + ".sock";
+    api::Server server(std::vector<api::Endpoint>{
+        api::Endpoint::parse("unix:" + sock + "?store=" + root +
+                                 "&gc-bytes=1&gc-interval=0.05",
+                             api::Endpoint::Role::kServer),
+        api::Endpoint::parse("tcp:127.0.0.1:0?max-cells=1",
+                             api::Endpoint::Role::kServer)});
+    server.start();
+    const uint64_t first_runs = server.stats().gcRuns;
+    for (int i = 0; i < 200 && server.stats().gcRuns <= first_runs; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_GT(server.stats().gcRuns, first_runs)
+        << "the GC thread must sweep every gc-interval";
+
+    api::AnalysisRequest req = lifecycleRequest(root);
+    req.kernels.resize(2);
+    adoptAll(server.service(), req);
+    api::ServeClient client =
+        api::ServeClient::overTcp("127.0.0.1", server.tcpPort());
+    const api::AnalysisResponse got = client.run(req);
+    ASSERT_EQ(got.cells.size(), 2u);
+    for (const auto &cell : got.cells)
+        EXPECT_TRUE(cell.ok) << cell.error;
+    EXPECT_EQ(server.stats().rejectedRequests, 0u);
+    server.stop();
+
+    // Only listeners make a server.
+    for (const char *uri : {"spool:/tmp/gpuperf-lc-spool", "inproc:"}) {
+        const api::Endpoint listener =
+            api::Endpoint::parse(uri, api::Endpoint::Role::kServer);
+        EXPECT_THROW(api::Server bad(listener), std::runtime_error)
+            << uri;
+    }
 }
 
 } // namespace

@@ -550,7 +550,7 @@ TEST_F(WarmStoreTest, SerialReferenceMatchesStoreServedResults)
 
 // --- Cross-process calibration lease -----------------------------------
 
-TEST(CalibrationLease, ExactlyOneProcessHoldsAFreshLease)
+TEST(CalibrationStoreLease, ExactlyOneProcessHoldsAFreshLease)
 {
     const std::string dir = freshDir("lease-basic");
     const arch::GpuSpec spec = arch::GpuSpec::gtx285();
@@ -559,22 +559,22 @@ TEST(CalibrationLease, ExactlyOneProcessHoldsAFreshLease)
     store::CalibrationStore b(dir);
 
     EXPECT_FALSE(a.leaseHeld(spec));
-    store::CalibrationLease held = a.tryAcquireLease(spec);
+    store::Lease held = a.tryAcquireLease(spec);
     ASSERT_TRUE(held.held());
     EXPECT_TRUE(b.leaseHeld(spec))
         << "the marker must be visible through any store object";
 
-    store::CalibrationLease lost = b.tryAcquireLease(spec);
+    store::Lease lost = b.tryAcquireLease(spec);
     EXPECT_FALSE(lost.held())
         << "a fresh lease held by a live pid must not be taken";
 
     held.release();
     EXPECT_FALSE(b.leaseHeld(spec));
-    store::CalibrationLease second = b.tryAcquireLease(spec);
+    store::Lease second = b.tryAcquireLease(spec);
     EXPECT_TRUE(second.held()) << "released leases are re-acquirable";
 }
 
-TEST(CalibrationLease, StaleLeasesAreBrokenAndRetaken)
+TEST(CalibrationStoreLease, StaleLeasesAreBrokenAndRetaken)
 {
     const std::string dir = freshDir("lease-stale");
     ASSERT_TRUE(store::makeDirs(dir));
@@ -591,7 +591,7 @@ TEST(CalibrationLease, StaleLeasesAreBrokenAndRetaken)
         marker << 999999999 << " " << 1 << "\n"; // dead pid, ancient
     }
     EXPECT_FALSE(store.leaseHeld(spec));
-    store::CalibrationLease stolen = store.tryAcquireLease(spec);
+    store::Lease stolen = store.tryAcquireLease(spec);
     EXPECT_TRUE(stolen.held());
     stolen.release();
 
@@ -610,7 +610,7 @@ TEST(CalibrationLease, StaleLeasesAreBrokenAndRetaken)
         << "under the default 15-min threshold the lease is fresh";
     store.setLeaseStaleAfter(std::chrono::milliseconds(10));
     EXPECT_FALSE(store.leaseHeld(spec));
-    store::CalibrationLease aged = store.tryAcquireLease(spec);
+    store::Lease aged = store.tryAcquireLease(spec);
     EXPECT_TRUE(aged.held());
 }
 
@@ -661,7 +661,7 @@ TEST(LeaseMarker, HostnameLessMarkersAreGovernedByAgeAlone)
     EXPECT_TRUE(store::leaseFresh(marker));
 }
 
-TEST(CalibrationLease, ConcurrentRunnersSplitTheMicrobenchmarkSweep)
+TEST(CalibrationStoreLease, ConcurrentRunnersSplitTheMicrobenchmarkSweep)
 {
     // Two runners sharing one storeDir — stand-ins for two sharded
     // processes — calibrate the same spec concurrently: the lease
@@ -706,6 +706,72 @@ TEST(CalibrationLease, ConcurrentRunnersSplitTheMicrobenchmarkSweep)
     ASSERT_NE(tc, nullptr);
     EXPECT_EQ(third.calibrationsComputed(), 0u);
     EXPECT_EQ(store::tablesDigest(*tc), store::tablesDigest(*ta));
+}
+
+TEST(CalibrationStore, CountsOneLookupPerCalibration)
+{
+    // A cold run, then a warm run (fresh runner, same directory) of
+    // one spec: one hit or miss per lookup, bytes_read only from the
+    // counted load, no rewrite of unchanged bench results. Then a
+    // corrupt entry: a miss and a fresh calibration, not an error.
+    const std::string dir = freshDir("cal-counters");
+    arch::GpuSpec tiny = arch::GpuSpec::gtx285();
+    tiny.name = "GTX tiny counters";
+    tiny.numSms = 3;
+    tiny.maxWarpsPerSm = 8;
+    tiny.maxThreadsPerSm = 256;
+    tiny.maxThreadsPerBlock = 256;
+    tiny.validate();
+    const std::vector<driver::KernelCase> kernels = {
+        driver::makeSaxpyCase("saxpy", 8, 128, 2.0f)};
+
+    driver::BatchRunner::Options opts;
+    opts.numThreads = 1;
+    opts.storeDir = dir;
+    uint64_t computed = 0;
+    const auto run = [&]() {
+        driver::BatchRunner runner(opts);
+        const auto results = runner.run(kernels, {tiny});
+        EXPECT_TRUE(results.at(0).ok) << results.at(0).error;
+        computed = runner.calibrationsComputed();
+        return runner.storeStats().calibrations;
+    };
+
+    const store::StoreStats cold = run();
+    EXPECT_EQ(computed, 1u);
+    EXPECT_EQ(cold.hits, 0u);
+    EXPECT_EQ(cold.misses, 1u) << "the under-lease re-check is no lookup";
+    EXPECT_EQ(cold.writes, 2u) << "the tables and the bench results";
+    EXPECT_EQ(cold.bytesRead, 0u);
+
+    const std::string entry =
+        dir + "/calibrations/" +
+        store::fileStem(tiny.name, tiny.fingerprint()) + ".calibration";
+    std::string bytes;
+    {
+        std::ifstream in(entry, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_FALSE(bytes.empty());
+
+    const store::StoreStats warm = run();
+    EXPECT_EQ(computed, 0u);
+    EXPECT_EQ(warm.hits, 1u);
+    EXPECT_EQ(warm.misses, 0u);
+    EXPECT_EQ(warm.writes, 0u) << "unchanged bench results rewritten";
+    EXPECT_EQ(warm.bytesRead, bytes.size())
+        << "only the counted tables load may add bytes_read";
+
+    bytes[bytes.size() / 2] ^= 0x10;
+    std::ofstream(entry, std::ios::binary | std::ios::trunc) << bytes;
+    const store::StoreStats healed = run();
+    EXPECT_EQ(computed, 1u) << "a corrupt entry must recalibrate";
+    EXPECT_EQ(healed.hits, 0u);
+    EXPECT_EQ(healed.misses, 1u);
+    EXPECT_EQ(healed.writes, 1u);
+    EXPECT_NE(store::CalibrationStore(dir + "/calibrations").load(tiny),
+              nullptr)
+        << "the fresh calibration replaced the corrupt entry";
 }
 
 // --- Profile / timing in-flight leases (the generalized mechanism) ------

@@ -263,7 +263,8 @@ TEST(TimingMemo, SharedTimingServesBitIdenticalCells)
     // Two specs that differ only in a timing-irrelevant way (the
     // name) share both the profile AND the timing replay; a spec with
     // different timing fields shares only the profile. Either way the
-    // results must equal the memo-free pipeline exactly.
+    // results must equal the per-cell pipeline (which shares nothing)
+    // exactly.
     std::vector<KernelCase> cases = {
         driver::makeStencil1dCase("stencil1d", 16, 256),
         driver::makeSpmvEllCase("spmv-ell", 96, 7)};
@@ -280,18 +281,19 @@ TEST(TimingMemo, SharedTimingServesBitIdenticalCells)
     const auto tables = sharedFakeTables();
     driver::BatchRunner::Options with;
     with.numThreads = 2;
-    with.shareTiming = true;
-    driver::BatchRunner::Options without;
-    without.numThreads = 2;
-    without.shareTiming = false;
+    driver::BatchRunner::Options per_cell;
+    per_cell.numThreads = 2;
+    per_cell.shareProfiles = false;
     driver::BatchRunner memo_runner(with);
-    driver::BatchRunner plain_runner(without);
+    driver::BatchRunner plain_runner(per_cell);
     for (const auto &s : specs) {
         memo_runner.adoptCalibration(s, tables);
         plain_runner.adoptCalibration(s, tables);
     }
     auto memoized = memo_runner.run(cases, specs);
     auto plain = plain_runner.run(cases, specs);
+    EXPECT_EQ(memo_runner.timingsComputed(), 4u)
+        << "the renamed spec must reuse its twin's replays";
     ASSERT_EQ(memoized.size(), plain.size());
     for (size_t i = 0; i < plain.size(); ++i) {
         ASSERT_TRUE(memoized[i].ok) << memoized[i].error;

@@ -91,27 +91,6 @@ parseCommonArgs(int argc, char **argv, int first, CommonArgs *args)
             args->minLoose = std::strtoull(v, nullptr, 10);
             continue;
         }
-        if (arg == "--unix") {
-            const char *v = value("--unix");
-            if (!v)
-                return false;
-            args->legacyUnix = v;
-            continue;
-        }
-        if (arg == "--tcp") {
-            const char *v = value("--tcp");
-            if (!v)
-                return false;
-            args->legacyTcpPort = std::atoi(v);
-            continue;
-        }
-        if (arg == "--host") {
-            const char *v = value("--host");
-            if (!v)
-                return false;
-            args->legacyHost = v;
-            continue;
-        }
         if (arg == "--json") {
             args->json = true;
             appendOption(args, "json", "1");
@@ -142,9 +121,6 @@ parseCommonArgs(int argc, char **argv, int first, CommonArgs *args)
             {"--gc-interval", "gc-interval"},
             {"--sched", "sched"},
             {"--client", "client"},
-            // One-release aliases for the pre-unification spellings.
-            {"--max-inflight-cells", "max-inflight"},
-            {"--max-cells-per-request", "max-cells"},
         };
         bool matched = false;
         for (const auto &opt : kOptionFlags) {

@@ -1,11 +1,9 @@
 /**
  * @file
- * The flag vocabulary shared by gpuperf-worker and gpuperf-serve.
- * Before this, the two tools grew divergent spellings for the same
- * knobs (--max-inflight-cells vs nothing, --timeout only on the
- * worker); now every endpoint-tunable flag is ONE spelling in ONE
- * parser, and its value is literally an api::Endpoint query option
- * appended to each --via URI (`--timeout 30` == `?timeout=30`):
+ * The flag vocabulary shared by gpuperf-worker and gpuperf-serve:
+ * every endpoint-tunable flag is ONE spelling in ONE parser, and its
+ * value is literally an api::Endpoint query option appended to each
+ * --via URI (`--timeout 30` == `?timeout=30`):
  *
  *   --via URI           transport/listener endpoint (repeatable for
  *                       servers: one unix: plus one tcp: listener)
@@ -29,12 +27,9 @@
  *   --json              send JSON requests                 (`json`)
  *
  * plus the non-endpoint flags --out, --spool, --no-wait, --once,
- * --stats-json, the admin-verb flags --dry-run/--force/--min-loose/
- * --report-only (gpuperf-worker gc|verify|compact|stats), and
- * gpuperf-serve's legacy listener aliases
- * --unix/--tcp/--host (kept one release; --via supersedes them).
- * The old --max-inflight-cells/--max-cells-per-request spellings
- * remain as aliases for one release.
+ * --stats-json and the admin-verb flags --dry-run/--force/--min-loose/
+ * --report-only (gpuperf-worker gc|verify|compact|stats). Each knob
+ * has exactly this one spelling; anything else is an unknown flag.
  */
 
 #ifndef GPUPERF_TOOLS_CLI_COMMON_H
@@ -69,11 +64,6 @@ struct CommonArgs
     bool force = false;       ///< compact: ignore the size thresholds
     bool reportOnly = false;  ///< verify: scan without fixing
     uint64_t minLoose = 0;    ///< compact: fold threshold (0 = default)
-
-    /** Legacy gpuperf-serve listener spellings (one release). */
-    std::string legacyUnix;
-    int legacyTcpPort = -1;
-    std::string legacyHost = "127.0.0.1";
 
     /** Accumulated `k=v&k=v` endpoint options from option flags. */
     std::string query;

@@ -17,9 +17,8 @@
  *
  * Endpoints are api::Endpoint URIs; the option flags share their
  * spellings with URI query options and with gpuperf-worker (see
- * tools/cli_common.h). The pre-Endpoint spellings --unix PATH,
- * --tcp PORT, --host ADDR, --max-inflight-cells and
- * --max-cells-per-request remain as aliases for one release.
+ * tools/cli_common.h). The first --via endpoint carries the options;
+ * later ones add only a listener.
  *
  * At least one unix:/tcp: endpoint is required. `tcp:HOST:0` binds an
  * ephemeral port (printed on stdout — scripts parse the "listening"
@@ -34,6 +33,7 @@
 
 #include <csignal>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,9 +68,7 @@ usage()
            "                     [--job-timeout SEC] "
            "[--worker-inflight N] [--stats-json]\n"
            "at least one unix:/tcp: endpoint is required; "
-           "tcp:HOST:0 binds an ephemeral port\n"
-           "(legacy aliases --unix PATH / --tcp PORT / --host ADDR "
-           "remain for one release)\n";
+           "tcp:HOST:0 binds an ephemeral port\n";
     return 1;
 }
 
@@ -81,44 +79,39 @@ main(int argc, char **argv)
 {
     cli::CommonArgs args;
     if (!cli::parseCommonArgs(argc, argv, 1, &args) ||
-        !args.positional.empty())
-        return usage();
-
-    // Fold the legacy listener spellings into --via URIs. --host must
-    // be folded before --tcp, which is why they are parsed first.
-    std::vector<std::string> uris = args.via;
-    if (!args.legacyUnix.empty())
-        uris.push_back("unix:" + args.legacyUnix);
-    if (args.legacyTcpPort >= 0)
-        uris.push_back("tcp:" + args.legacyHost + ":" +
-                       std::to_string(args.legacyTcpPort));
-    if (uris.empty())
+        !args.positional.empty() || args.via.empty())
         return usage();
 
     std::vector<api::Endpoint> endpoints;
+    std::unique_ptr<api::Server> server;
     try {
-        for (const std::string &uri : uris)
+        for (const std::string &uri : args.via)
             endpoints.push_back(cli::endpointFor(
                 args, uri, api::Endpoint::Role::kServer));
+        server = std::make_unique<api::Server>(endpoints);
     } catch (const std::exception &e) {
         std::cerr << "gpuperf-serve: " << e.what() << "\n";
         return usage();
     }
-
-    api::Server server(endpoints);
     try {
-        server.start();
+        server->start();
     } catch (const std::exception &e) {
         std::cerr << "gpuperf-serve: " << e.what() << "\n";
         return 1;
     }
 
-    const api::ServerOptions &opts = server.options();
-    if (!opts.unixPath.empty())
-        std::cout << "listening unix " << opts.unixPath << "\n";
-    if (server.tcpPort() >= 0)
-        std::cout << "listening tcp " << opts.tcpHost << ":"
-                  << server.tcpPort() << "\n";
+    // Scripts parse these lines: unix listeners first, then the TCP
+    // one with its bound (possibly ephemeral) port.
+    const api::Endpoint *tcp = nullptr;
+    for (const api::Endpoint &ep : endpoints) {
+        if (ep.scheme == api::Endpoint::Scheme::kUnix)
+            std::cout << "listening unix " << ep.path << "\n";
+        else if (!tcp)
+            tcp = &ep;
+    }
+    if (tcp)
+        std::cout << "listening tcp " << tcp->host << ":"
+                  << server->tcpPort() << "\n";
     std::cout << "gpuperf-serve ready\n" << std::flush;
 
     std::signal(SIGINT, onSignal);
@@ -130,8 +123,8 @@ main(int argc, char **argv)
 
     std::cout << "stopping (draining in-flight requests)...\n"
               << std::flush;
-    server.stop();
-    const api::ServerStats stats = server.stats();
+    server->stop();
+    const api::ServerStats stats = server->stats();
     std::cout << "served " << stats.requests << " request(s), "
               << stats.cells << " cell(s) (" << stats.failedCells
               << " failed), " << stats.accepted << " connection(s), "

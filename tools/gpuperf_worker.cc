@@ -163,13 +163,12 @@ spoolDir(const cli::CommonArgs &args)
     return "";
 }
 
-/** Collect options from the shared flags (--timeout et al.). */
-api::SpoolOptions
-collectOptions(const cli::CommonArgs &args, const std::string &dir)
+/** The spool directory as an endpoint carrying the option flags. */
+api::Endpoint
+spoolEndpoint(const cli::CommonArgs &args, const std::string &dir,
+              api::Endpoint::Role role)
 {
-    return api::spoolOptionsFor(
-        cli::endpointFor(args, "spool:" + dir,
-                         api::Endpoint::Role::kClient));
+    return cli::endpointFor(args, "spool:" + dir, role);
 }
 
 } // namespace
@@ -234,7 +233,9 @@ main(int argc, char **argv)
             if (args.noWait)
                 return 0;
             const api::AnalysisResponse resp =
-                api::spoolCollect(dir, req, collectOptions(args, dir));
+                api::spoolCollect(
+                    spoolEndpoint(args, dir, api::Endpoint::Role::kClient),
+                    req);
             if (!args.out.empty() &&
                 !cli::writeFile(args.out, api::responseToJson(resp))) {
                 std::cerr << "cannot write '" << args.out << "'\n";
@@ -268,12 +269,9 @@ main(int argc, char **argv)
             const std::string dir = spoolDir(args);
             if (dir.empty())
                 return usage();
-            const api::Endpoint ep = cli::endpointFor(
-                args, "spool:" + dir, api::Endpoint::Role::kWorker);
-            api::ServeOptions opts = api::spoolServeOptionsFor(ep);
-            opts.drain = !args.once;
-            const api::ServeStats stats =
-                api::spoolServe(dir, service, opts);
+            const api::ServeStats stats = api::spoolServe(
+                spoolEndpoint(args, dir, api::Endpoint::Role::kWorker),
+                service, /*drain=*/!args.once);
             std::cout << "worker executed " << stats.executed
                       << " job(s), " << stats.failedCells
                       << " failed cell(s)\n";
@@ -340,7 +338,9 @@ main(int argc, char **argv)
             if (!cli::loadRequestJson(args.positional, &req))
                 return 1;
             const api::AnalysisResponse resp =
-                api::spoolCollect(dir, req, collectOptions(args, dir));
+                api::spoolCollect(
+                    spoolEndpoint(args, dir, api::Endpoint::Role::kClient),
+                    req);
             if (!cli::writeFile(args.out, api::responseToJson(resp))) {
                 std::cerr << "cannot write '" << args.out << "'\n";
                 return 1;
