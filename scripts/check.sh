@@ -509,13 +509,17 @@ fi
 #  - the >=2x vectorized vs scalar-reference funcsim speedup on the
 #    large high-occupancy cases (warp-instrs/sec, bit-identity
 #    checked first; report-only in Debug builds or with
-#    GPUPERF_FUNCSIM_GATE=report).
+#    GPUPERF_FUNCSIM_GATE=report);
+#  - the >=3x cold-calibration fan-out (pool(4) vs serial sweep,
+#    median of 5, tables byte-compared first; self-skips on <4
+#    hardware threads, report-only with GPUPERF_THREAD_GATE=report).
 # The main calibration is cached in the build dir, so reruns are
 # cheap; the streaming study calibrates two small specs cold on
 # purpose (that overlap is what it measures).
 (cd "$BUILD_DIR" && ./bench_batch_throughput)
 (cd "$BUILD_DIR" && ./bench_timing_replay)
 (cd "$BUILD_DIR" && ./bench_funcsim)
+(cd "$BUILD_DIR" && ./bench_calibration)
 
 # Socket-server soak gate: >= 8 concurrent clients over TCP and Unix
 # sockets, every response bit-identical to in-process execution;

@@ -1,5 +1,8 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+#include <exception>
+#include <limits>
 #include <stdexcept>
 
 namespace gpuperf {
@@ -29,13 +32,113 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::enqueue(std::function<void()> job)
 {
+    if (!tryEnqueue(std::move(job)))
+        throw std::runtime_error("ThreadPool: submit after shutdown");
+}
+
+bool
+ThreadPool::tryEnqueue(std::function<void()> &&job)
+{
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (shutdown_)
-            throw std::runtime_error("ThreadPool: submit after shutdown");
+            return false;
         queue_.push(std::move(job));
     }
     workAvailable_.notify_one();
+    return true;
+}
+
+/**
+ * Shared by a parallelFor caller and its helper tasks. Helpers hold
+ * it by shared_ptr because a queued helper may start after the call
+ * returned; by then claim() always fails, so @p fn (the caller's) is
+ * never touched again.
+ */
+struct ThreadPool::Loop
+{
+    Loop(size_t count, const std::function<void(size_t)> &body)
+        : n(count), fn(body)
+    {
+    }
+
+    /** Claim the next index; false once drained or after a failure. */
+    bool claim(size_t *index)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (next >= n || error)
+            return false;
+        *index = next++;
+        ++inFlight;
+        return true;
+    }
+
+    /** Run a claimed index and record how it ended. */
+    void run(size_t index)
+    {
+        std::exception_ptr thrown;
+        try {
+            fn(index);
+        } catch (...) {
+            thrown = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        if (thrown && index < failedIndex) {
+            failedIndex = index;
+            error = thrown;
+        }
+        if (--inFlight == 0)
+            settled.notify_all();
+    }
+
+    bool open()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        return next < n && !error;
+    }
+
+    const size_t n;
+    const std::function<void(size_t)> &fn;
+    std::mutex mutex;
+    std::condition_variable settled;
+    size_t next = 0;     ///< lowest unclaimed index
+    size_t inFlight = 0; ///< claimed, not yet finished
+    size_t failedIndex = std::numeric_limits<size_t>::max();
+    std::exception_ptr error; ///< thrown by failedIndex
+};
+
+void
+ThreadPool::parallelFor(ThreadPool *pool, size_t n,
+                        const std::function<void(size_t)> &fn)
+{
+    auto loop = std::make_shared<Loop>(n, fn);
+    if (pool != nullptr && n > 1) {
+        const size_t helpers =
+            std::min(static_cast<size_t>(pool->numThreads()), n - 1);
+        for (size_t h = 0; h < helpers; ++h) {
+            if (!pool->tryEnqueue([pool, loop]() { pool->helpLoop(loop); }))
+                break; // shutting down: the caller runs the rest
+        }
+    }
+    size_t index = 0;
+    while (loop->claim(&index))
+        loop->run(index);
+    std::unique_lock<std::mutex> lock(loop->mutex);
+    loop->settled.wait(lock, [&]() { return loop->inFlight == 0; });
+    if (loop->error)
+        std::rethrow_exception(loop->error);
+}
+
+void
+ThreadPool::helpLoop(const std::shared_ptr<Loop> &loop)
+{
+    size_t index = 0;
+    if (!loop->claim(&index))
+        return;
+    loop->run(index);
+    // To the back of the queue: work submitted meanwhile goes first.
+    if (loop->open())
+        tryEnqueue([this, loop]() { helpLoop(loop); });
 }
 
 void

@@ -7,14 +7,22 @@
  * (one full analysis each), so a single FIFO queue behind one mutex is
  * both sufficient and easy to reason about. Exceptions thrown by a
  * task propagate through the std::future returned by submit().
+ *
+ * parallelFor() fans an indexed loop out over the same queue (the
+ * calibration microbenchmark sweep runs through it). The caller works
+ * the loop too, so it is safe to call from inside a pool task, and
+ * each helper task re-queues itself after every index, so other work
+ * in the FIFO interleaves with a long loop instead of waiting for it.
  */
 
 #ifndef GPUPERF_COMMON_THREAD_POOL_H
 #define GPUPERF_COMMON_THREAD_POOL_H
 
 #include <condition_variable>
+#include <cstddef>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -56,6 +64,26 @@ class ThreadPool
         return future;
     }
 
+    /**
+     * Run @p fn(0) .. @p fn(n - 1), each index exactly once, and return
+     * when all have finished. Indices are claimed in ascending order
+     * by the calling thread and by up to numThreads() helper tasks of
+     * @p pool; a null pool runs every index on the caller (same code,
+     * no helpers). A helper runs one index, then re-submits itself to
+     * the back of the queue while indices remain.
+     *
+     * The caller never waits for a queued helper to start, only for
+     * claimed indices to finish, so calling from a pool task cannot
+     * deadlock (not even on a 1-thread pool).
+     *
+     * If any @p fn throws, no further index is claimed; once every
+     * claimed index has finished, the exception of the lowest failing
+     * index is rethrown. Indices are claimed in order, so that is the
+     * lowest index whose @p fn throws, whatever the interleaving.
+     */
+    static void parallelFor(ThreadPool *pool, size_t n,
+                            const std::function<void(size_t)> &fn);
+
     /** Block until the queue is empty and no task is running. */
     void waitIdle();
 
@@ -71,7 +99,13 @@ class ThreadPool
     static int resolveThreads(int requested);
 
   private:
+    struct Loop; // one parallelFor's shared state
+
     void enqueue(std::function<void()> job);
+    /** enqueue() that returns false instead of throwing on shutdown. */
+    bool tryEnqueue(std::function<void()> &&job);
+    /** Helper task body: run one index of @p loop, then re-queue. */
+    void helpLoop(const std::shared_ptr<Loop> &loop);
     void workerLoop();
 
     std::mutex mutex_;

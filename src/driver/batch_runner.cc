@@ -365,7 +365,7 @@ BatchRunner::runCalibration(const arch::GpuSpec &spec)
 {
     ++calibrationsComputed_;
     model::AnalysisSession session(spec);
-    return session.shareCalibration();
+    return session.shareCalibration(&pool_);
 }
 
 std::shared_ptr<const model::CalibrationTables>

@@ -393,7 +393,11 @@ class BatchRunner
     std::shared_ptr<const model::CalibrationTables>
     calibrate(const arch::GpuSpec &spec);
 
-    /** The sweep itself, unconditionally (counts the run). */
+    /**
+     * The sweep itself, unconditionally (counts the run), fanned out
+     * over pool_: the width is the executor's numThreads, and no
+     * thread outside the pool is started.
+     */
     std::shared_ptr<const model::CalibrationTables>
     runCalibration(const arch::GpuSpec &spec);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "model/microbench.h"
 
 namespace gpuperf {
@@ -96,7 +97,7 @@ Calibrator::configForWarps(int warps) const
 }
 
 void
-Calibrator::calibrate()
+Calibrator::calibrate(ThreadPool *pool)
 {
     const arch::GpuSpec &spec = device_.spec();
     CalibrationTables tables;
@@ -113,37 +114,54 @@ Calibrator::calibrate()
     constexpr int kUnroll = 60;
     constexpr int kIters = 8;
     constexpr int kSharedIters = 400;
-    const size_t scratch = 8u << 20;
     const uint64_t out_base = 4096;
 
-    for (int w : warp_counts) {
-        const funcsim::LaunchConfig cfg = configForWarps(w);
-        for (arch::InstrType type : arch::kAllInstrTypes) {
-            isa::Kernel k =
-                makeInstructionBench(type, kUnroll, kIters, out_base);
-            funcsim::GlobalMemory gmem(scratch);
-            gmem.alloc(static_cast<size_t>(cfg.gridDim) * cfg.blockDim * 4);
+    // One job per (warp count, bench kernel): the instruction types,
+    // then the shared copy. Each job runs on its own device (the
+    // simulators are deterministic functions of spec and engine, so
+    // a fresh device measures what device_ would) and writes only
+    // its own table entry. A job's cost grows with its warp count, so
+    // the largest warp counts go first: the loop's tail is then a
+    // cheap job, not a 16-warp one.
+    constexpr size_t kBenches = arch::kNumInstrTypes + 1;
+    SessionConfig config;
+    config.engine = device_.timingSim().engine();
+    ThreadPool::parallelFor(
+        pool, warp_counts.size() * kBenches, [&](size_t job) {
+            const int w =
+                warp_counts[warp_counts.size() - 1 - job / kBenches];
+            const int bench = static_cast<int>(job % kBenches);
+            const funcsim::LaunchConfig cfg = configForWarps(w);
+            // The benches store one word per thread at out_base and
+            // touch no other global memory.
+            const size_t out_bytes =
+                static_cast<size_t>(cfg.gridDim) * cfg.blockDim * 4;
+            funcsim::GlobalMemory gmem(out_base + out_bytes);
+            const uint64_t out = gmem.alloc(out_bytes, out_base);
+            GPUPERF_ASSERT(out == out_base,
+                           "bench output must sit at out_base");
             funcsim::RunOptions opts;
             opts.homogeneous = true;
-            Measurement m = device_.run(k, cfg, gmem, opts);
-            const uint64_t count = m.stats.totalType(type);
-            GPUPERF_ASSERT(count > 0, "instruction bench executed nothing");
-            tables.instrThroughput[static_cast<int>(type)][w] =
-                count / m.seconds();
-        }
-        {
-            isa::Kernel k =
-                makeSharedCopyBench(cfg.blockDim, kSharedIters, out_base);
-            funcsim::GlobalMemory gmem(scratch);
-            gmem.alloc(static_cast<size_t>(cfg.gridDim) * cfg.blockDim * 4);
-            funcsim::RunOptions opts;
-            opts.homogeneous = true;
-            Measurement m = device_.run(k, cfg, gmem, opts);
-            const uint64_t passes = m.stats.totalSharedTransactions();
-            GPUPERF_ASSERT(passes > 0, "shared bench executed nothing");
-            tables.sharedPassThroughput[w] = passes / m.seconds();
-        }
-    }
+            SimulatedDevice device(spec, config);
+            if (bench < arch::kNumInstrTypes) {
+                const arch::InstrType type = arch::kAllInstrTypes[bench];
+                const isa::Kernel k =
+                    makeInstructionBench(type, kUnroll, kIters, out_base);
+                const Measurement m = device.run(k, cfg, gmem, opts);
+                const uint64_t count = m.stats.totalType(type);
+                GPUPERF_ASSERT(count > 0,
+                               "instruction bench executed nothing");
+                tables.instrThroughput[static_cast<int>(type)][w] =
+                    count / m.seconds();
+            } else {
+                const isa::Kernel k = makeSharedCopyBench(
+                    cfg.blockDim, kSharedIters, out_base);
+                const Measurement m = device.run(k, cfg, gmem, opts);
+                const uint64_t passes = m.stats.totalSharedTransactions();
+                GPUPERF_ASSERT(passes > 0, "shared bench executed nothing");
+                tables.sharedPassThroughput[w] = passes / m.seconds();
+            }
+        });
 
     // Fill unreachable (odd, > one-block-max) warp counts by linear
     // interpolation between measured neighbours.
@@ -193,11 +211,11 @@ Calibrator::tables()
 }
 
 std::shared_ptr<const CalibrationTables>
-Calibrator::sharedTables()
+Calibrator::sharedTables(ThreadPool *pool)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!tables_)
-        calibrate();
+        calibrate(pool);
     return tables_;
 }
 

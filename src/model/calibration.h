@@ -8,6 +8,11 @@
  *    is bandwidth divided by 64 B) as a function of warps per SM,
  *  - global-memory throughput for arbitrary launch configurations via
  *    the synthetic streaming benchmark (memoized).
+ *
+ * The instruction/shared sweep is a flat list of independent (warp
+ * count, bench kernel) jobs, each on its own SimulatedDevice; given a
+ * ThreadPool it fans them out with ThreadPool::parallelFor, and the
+ * tables come out bit-identical to the serial (null-pool) sweep.
  */
 
 #ifndef GPUPERF_MODEL_CALIBRATION_H
@@ -24,6 +29,9 @@
 #include "model/device.h"
 
 namespace gpuperf {
+
+class ThreadPool; // common/thread_pool.h
+
 namespace model {
 
 /** Lookup tables produced by calibration. */
@@ -77,6 +85,10 @@ using GlobalBenchMemo =
  * Lazy calibration and the global-benchmark memo are guarded by an
  * internal mutex, so concurrent PerformanceModel::predict() calls
  * against one calibrator are safe (they serialize on the device).
+ * The instruction/shared sweep does not use the owning device: its
+ * jobs run on per-job devices with the same spec and replay engine,
+ * on the calling thread plus, when sharedTables() is given a pool,
+ * that pool's workers.
  * The owning device itself is not otherwise synchronized: concurrent
  * SimulatedDevice::run() calls from outside remain the caller's
  * responsibility.
@@ -99,9 +111,12 @@ class Calibrator
      * The tables as an immutable shared handle, so many sessions (e.g.
      * the batch driver's per-thread sessions) can reuse one
      * calibration without copying or re-running the sweep. First call
-     * runs the benchmarks, like tables().
+     * runs the benchmarks, like tables(), fanned out over @p pool
+     * (ThreadPool::parallelFor: safe from inside one of its tasks);
+     * null runs the sweep on the calling thread alone.
      */
-    std::shared_ptr<const CalibrationTables> sharedTables();
+    std::shared_ptr<const CalibrationTables>
+    sharedTables(ThreadPool *pool = nullptr);
 
     /**
      * Adopt tables calibrated elsewhere (typically another session for
@@ -149,10 +164,10 @@ class Calibrator
     /** Launch shape realizing @p warps warps per SM. */
     funcsim::LaunchConfig configForWarps(int warps) const;
 
-    void calibrate();
+    void calibrate(ThreadPool *pool);
 
     SimulatedDevice &device_;
-    /** Guards tables_, the memo handle and device runs. */
+    /** Guards tables_, the memo handle and device_ runs. */
     mutable std::mutex mutex_;
     std::shared_ptr<const CalibrationTables> tables_;
     std::shared_ptr<GlobalBenchMemo> globalMemo_;

@@ -103,11 +103,13 @@ class AnalysisSession
 
     /**
      * Share this session's calibration tables (calibrating first if
-     * needed) so other sessions for the same spec can adopt them.
+     * needed, with the sweep fanned out over @p pool when given) so
+     * other sessions for the same spec can adopt them.
      */
-    std::shared_ptr<const CalibrationTables> shareCalibration()
+    std::shared_ptr<const CalibrationTables>
+    shareCalibration(ThreadPool *pool = nullptr)
     {
-        return calibrator_.sharedTables();
+        return calibrator_.sharedTables(pool);
     }
 
     /** Adopt tables calibrated by another session for the same spec. */

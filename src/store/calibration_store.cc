@@ -1,5 +1,6 @@
 #include "store/calibration_store.h"
 
+#include "common/thread_pool.h"
 #include "model/device.h"
 #include "store/codecs.h"
 #include "store/lifecycle/segment.h"
@@ -61,7 +62,8 @@ CalibrationStore::loadOrCalibrate(const arch::GpuSpec &spec) const
         return tables;
     model::SimulatedDevice device(spec);
     model::Calibrator calibrator(device);
-    auto tables = calibrator.sharedTables();
+    ThreadPool pool(0);
+    auto tables = calibrator.sharedTables(&pool);
     save(spec, *tables);
     return tables;
 }

@@ -60,6 +60,7 @@ class CalibrationStore
      * next process. For single-process tools (benches, tests) that
      * want calibration warm across runs; batch runs go through
      * driver::BatchRunner, which also holds the cross-process lease.
+     * A miss fans the sweep out over a short-lived ThreadPool(0).
      */
     std::shared_ptr<const model::CalibrationTables>
     loadOrCalibrate(const arch::GpuSpec &spec) const;

@@ -392,10 +392,9 @@ readStoreEntry(const std::string &dir, const std::string &name,
 
 bool
 storeEntryExists(const std::string &dir, const std::string &name,
-                 uint32_t version, const std::string &key,
-                 StoreCounters *counters)
+                 uint32_t version, const std::string &key)
 {
-    if (readEntryHeader(dir + "/" + name, version, key, counters)) {
+    if (readEntryHeader(dir + "/" + name, version, key)) {
         recordAccess(dir, name);
         return true;
     }
@@ -403,7 +402,7 @@ storeEntryExists(const std::string &dir, const std::string &name,
     // one contiguous read anyway); validate the whole blob.
     std::string payload;
     if (readThroughSegments(dir, name, version, key, &payload,
-                            counters)) {
+                            nullptr)) {
         recordAccess(dir, name);
         return true;
     }

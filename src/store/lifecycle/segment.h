@@ -117,11 +117,11 @@ bool readStoreEntry(const std::string &dir, const std::string &name,
 
 /**
  * readEntryHeader() through the segment layer: true iff a valid entry
- * for @p key exists loose or in a segment.
+ * for @p key exists loose or in a segment. Counts nothing: it is the
+ * stores' uncounted existence probe.
  */
 bool storeEntryExists(const std::string &dir, const std::string &name,
-                      uint32_t version, const std::string &key,
-                      StoreCounters *counters = nullptr);
+                      uint32_t version, const std::string &key);
 
 /**
  * Drop the cached catalog for @p dir (or every directory when empty).

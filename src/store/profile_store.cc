@@ -48,7 +48,7 @@ ProfileStore::readKey(const funcsim::ProfileKey &key) const
     const std::string key_str = key.str();
     return storeEntryExists(dir_,
                             fileStem("profile", key_str) + ".profile",
-                            kFormatVersion, key_str, &counters_);
+                            kFormatVersion, key_str);
 }
 
 std::string

@@ -55,7 +55,8 @@ class ProfileStore
      * need an entry's existence or validity (warmth probes, tooling)
      * a header read replaces a trace decode; batch cells go further
      * and derive their result keys without touching the store at all
-     * (BatchRunner::profileKeyFor). Does not count as a hit or miss.
+     * (BatchRunner::profileKeyFor). Counts nothing: no hit, no miss,
+     * no bytes read (it is the lease dance's under-lease re-check).
      */
     bool readKey(const funcsim::ProfileKey &key) const;
 

@@ -274,7 +274,7 @@ readEntryFile(const std::string &path, uint32_t version,
 
 bool
 readEntryHeader(const std::string &path, uint32_t version,
-                const std::string &key, StoreCounters *counters)
+                const std::string &key)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -288,8 +288,6 @@ readEntryHeader(const std::string &path, uint32_t version,
     in.read(&data[0], static_cast<std::streamsize>(header_size));
     if (in.gcount() != static_cast<std::streamsize>(header_size))
         return false;
-    if (counters)
-        counters->read(header_size);
     ByteReader r(data);
     if (r.u64() != kMagic || r.u32() != version || r.str() != key)
         return false;

@@ -127,8 +127,7 @@ bool readEntryFile(const std::string &path, uint32_t version,
  * ProfileStore::readKey().
  */
 bool readEntryHeader(const std::string &path, uint32_t version,
-                     const std::string &key,
-                     StoreCounters *counters = nullptr);
+                     const std::string &key);
 
 /**
  * Encode one entry (header + payload + checksum trailer) as the exact

@@ -49,7 +49,7 @@ TimingStore::exists(const funcsim::ProfileKey &key,
     const std::string key_str = keyFor(key, fp);
     return storeEntryExists(dir_,
                             fileStem("timing", key_str) + ".timing",
-                            kFormatVersion, key_str, &counters_);
+                            kFormatVersion, key_str);
 }
 
 std::string

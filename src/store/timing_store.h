@@ -62,9 +62,9 @@ class TimingStore
 
     /**
      * Key-only lookup: true iff a valid entry exists (header
-     * validated, payload untouched). Does not count as a hit or a
-     * miss — the lease dance probes with this so a cold replay still
-     * registers exactly one miss (see ProfileStore::readKey).
+     * validated, payload untouched). Counts nothing (no hit, miss or
+     * bytes read) — the lease dance probes with this so a cold replay
+     * still registers exactly one miss (see ProfileStore::readKey).
      */
     bool exists(const funcsim::ProfileKey &key,
                 const arch::TimingFingerprint &fp) const;

@@ -3,15 +3,21 @@
  * Model-layer tests: calibration-table lookups, the info extractor,
  * the performance model's combination rules, the roofline baseline,
  * and the report metrics. Uses injected tables so no microbenchmark
- * sweep is needed.
+ * sweep is needed — except the calibration pins, which run the real
+ * sweep serially and on thread pools and compare the tables bit for
+ * bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/thread_pool.h"
 #include "model/extractor.h"
 #include "model/perf_model.h"
 #include "model/report.h"
 #include "model/roofline.h"
+#include "store/codecs.h"
 #include "expect_sim_error.h"
 
 namespace gpuperf {
@@ -75,6 +81,101 @@ makeStats(int grid, int block_dim)
     s.activeWarpsPerBlock = stats.warpsPerBlock;
     stats.stages.push_back(s);
     return stats;
+}
+
+// --- The real microbenchmark sweep, serial vs fanned out ------------
+
+/** The benchmark's base GPU: a GTX 285 cut to 6 SMs, 16 warps/SM. */
+arch::GpuSpec
+gt200Sm6()
+{
+    arch::GpuSpec s = arch::GpuSpec::gtx285();
+    s.name = "GT200-6sm";
+    s.numSms = 6;
+    s.maxWarpsPerSm = 16;
+    s.maxThreadsPerSm = 512;
+    s.validate();
+    return s;
+}
+
+/**
+ * One-block max 8 warps under a 12-warp SM: warp counts 10 and 12 run
+ * as two blocks, and 9 and 11 come from the gap fill.
+ */
+arch::GpuSpec
+twoBlockCut()
+{
+    arch::GpuSpec s = arch::GpuSpec::gtx285();
+    s.name = "GT200-3sm-two-block";
+    s.numSms = 3;
+    s.maxWarpsPerSm = 12;
+    s.maxThreadsPerSm = 384;
+    s.maxThreadsPerBlock = 256;
+    s.validate();
+    return s;
+}
+
+/** Fresh calibration of @p spec, on @p threads pool workers (0: none). */
+std::shared_ptr<const CalibrationTables>
+calibrateOn(const arch::GpuSpec &spec, int threads)
+{
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0)
+        pool = std::make_unique<ThreadPool>(threads);
+    SimulatedDevice device(spec);
+    Calibrator calibrator(device);
+    return calibrator.sharedTables(pool.get());
+}
+
+void
+expectBitIdentical(const std::vector<double> &want,
+                   const std::vector<double> &got, const char *what)
+{
+    ASSERT_EQ(want.size(), got.size()) << what;
+    for (size_t w = 0; w < want.size(); ++w)
+        EXPECT_EQ(std::memcmp(&want[w], &got[w], sizeof(double)), 0)
+            << what << " at " << w << " warps: " << want[w] << " vs "
+            << got[w];
+}
+
+/**
+ * Serial, 1-thread-pool and 4-thread-pool sweeps agree bit for bit,
+ * and the serial tables match the digest the one-loop sweep produced
+ * (the parallel sweep must change nothing but the wall time).
+ */
+void
+expectPinnedSweep(const arch::GpuSpec &spec, uint64_t golden_digest)
+{
+    const auto serial = calibrateOn(spec, 0);
+    EXPECT_EQ(store::tablesDigest(*serial), golden_digest)
+        << spec.name << ": calibration tables moved";
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(spec.name + " on " + std::to_string(threads) +
+                     " pool threads");
+        const auto fanned = calibrateOn(spec, threads);
+        EXPECT_EQ(fanned->maxWarps, serial->maxWarps);
+        EXPECT_EQ(fanned->bytesPerPass, serial->bytesPerPass);
+        for (int type = 0; type < arch::kNumInstrTypes; ++type)
+            expectBitIdentical(serial->instrThroughput[type],
+                               fanned->instrThroughput[type],
+                               arch::instrTypeName(
+                                   arch::kAllInstrTypes[type]));
+        expectBitIdentical(serial->sharedPassThroughput,
+                           fanned->sharedPassThroughput, "shared");
+    }
+}
+
+TEST(Calibration, PoolSweepIsBitIdenticalToSerial)
+{
+    expectPinnedSweep(gt200Sm6(), 0xf92da283f48c4477ull);
+}
+
+TEST(Calibration, PoolSweepIsBitIdenticalWithTwoBlockConfigsAndGapFill)
+{
+    const arch::GpuSpec spec = twoBlockCut();
+    const std::vector<int> sampled = Calibrator::sweepWarpCounts(spec);
+    EXPECT_EQ(sampled, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 10, 12}));
+    expectPinnedSweep(spec, 0x3df992a177192c60ull);
 }
 
 TEST(InfoExtractor, ComputesConcurrencyAndSerialization)

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <thread>
@@ -772,6 +773,100 @@ TEST(CalibrationStore, CountsOneLookupPerCalibration)
     EXPECT_NE(store::CalibrationStore(dir + "/calibrations").load(tiny),
               nullptr)
         << "the fresh calibration replaced the corrupt entry";
+}
+
+TEST(StoreCounters, CountsOneLookupPerProfileAndTiming)
+{
+    // The profile and timing layers under the calibration rules: the
+    // under-lease re-checks (readKey / exists) count nothing, not even
+    // header bytes, so a cold lookup is one miss with 0 bytes_read
+    // and a warm one a hit whose bytes_read is the entry it decoded.
+    const std::string dir = freshDir("lookup-counters");
+    std::filesystem::remove_all(dir); // a reused pid's leftovers
+    arch::GpuSpec tiny = arch::GpuSpec::gtx285();
+    tiny.name = "GTX tiny lookup counters";
+    tiny.numSms = 3;
+    tiny.maxWarpsPerSm = 8;
+    tiny.maxThreadsPerSm = 256;
+    tiny.maxThreadsPerBlock = 256;
+    tiny.validate();
+    const std::vector<driver::KernelCase> kernels = {
+        driver::makeSaxpyCase("saxpy", 8, 128, 2.0f)};
+
+    driver::BatchRunner::Options opts;
+    opts.numThreads = 1;
+    opts.storeDir = dir;
+    struct Counts
+    {
+        store::StoreStats profiles;
+        store::StoreStats timings;
+        uint64_t funcsims = 0;
+        uint64_t replays = 0;
+    };
+    const auto run = [&]() {
+        driver::BatchRunner runner(opts);
+        const auto results = runner.run(kernels, {tiny});
+        EXPECT_TRUE(results.at(0).ok) << results.at(0).error;
+        const store::StoreLayerStats s = runner.storeStats();
+        return Counts{s.profiles, s.timings, runner.funcsimsComputed(),
+                      runner.timingsComputed()};
+    };
+
+    const Counts cold = run();
+    EXPECT_EQ(cold.funcsims, 1u);
+    EXPECT_EQ(cold.replays, 1u);
+    EXPECT_EQ(cold.profiles.hits, 0u);
+    EXPECT_EQ(cold.profiles.misses, 1u);
+    EXPECT_EQ(cold.profiles.writes, 1u);
+    EXPECT_EQ(cold.profiles.bytesRead, 0u);
+    EXPECT_EQ(cold.timings.hits, 0u);
+    EXPECT_EQ(cold.timings.misses, 1u);
+    EXPECT_EQ(cold.timings.writes, 2u) << "the replay and its .obs";
+    EXPECT_EQ(cold.timings.bytesRead, 0u);
+
+    const auto entrySize = [&](const std::string &sub,
+                               const std::string &ext) {
+        uint64_t bytes = 0;
+        for (const auto &e : std::filesystem::directory_iterator(dir + sub))
+            if (e.path().extension() == ext)
+                bytes += e.file_size();
+        return bytes;
+    };
+    const uint64_t profile_bytes = entrySize("/profiles", ".profile");
+    const uint64_t timing_bytes = entrySize("/timing", ".timing");
+    const uint64_t obs_bytes = entrySize("/timing", ".obs");
+    ASSERT_GT(profile_bytes, 0u);
+    ASSERT_GT(timing_bytes, 0u);
+
+    // Warm profile and timing layers: drop the result store, which
+    // would otherwise serve the cell without a lookup below it.
+    std::filesystem::remove_all(dir + "/results");
+    const Counts warm = run();
+    EXPECT_EQ(warm.funcsims, 0u);
+    EXPECT_EQ(warm.replays, 0u);
+    EXPECT_EQ(warm.profiles.hits, 1u);
+    EXPECT_EQ(warm.profiles.misses, 0u);
+    EXPECT_EQ(warm.profiles.writes, 0u);
+    EXPECT_EQ(warm.profiles.bytesRead, profile_bytes);
+    EXPECT_EQ(warm.timings.hits, 1u);
+    EXPECT_EQ(warm.timings.misses, 0u);
+    EXPECT_EQ(warm.timings.bytesRead, timing_bytes + obs_bytes)
+        << "the counted replay load plus the cost observation";
+
+    // The probes themselves, on entries that exist (what the
+    // re-check sees when another process published first).
+    store::ProfileStore profiles(dir + "/profiles");
+    store::TimingStore timings(dir + "/timing");
+    const funcsim::ProfileKey key =
+        driver::BatchRunner(opts).profileKeyFor(kernels[0], tiny);
+    EXPECT_TRUE(profiles.readKey(key));
+    EXPECT_TRUE(timings.exists(key, arch::TimingFingerprint::of(tiny)));
+    const store::StoreStats probed_profiles = profiles.stats();
+    const store::StoreStats probed_timings = timings.stats();
+    EXPECT_EQ(probed_profiles.hits + probed_profiles.misses, 0u);
+    EXPECT_EQ(probed_profiles.bytesRead, 0u);
+    EXPECT_EQ(probed_timings.hits + probed_timings.misses, 0u);
+    EXPECT_EQ(probed_timings.bytesRead, 0u);
 }
 
 // --- Profile / timing in-flight leases (the generalized mechanism) ------
