@@ -3,7 +3,7 @@
  * Scheduling-policy fairness bench: a two-worker fleet under a mixed
  * load — a "bulk" client flooding expensive requests while an
  * "interactive" client trickles cheap ones — run once per scheduling
- * policy (fifo, biggest-first, sjf, fair-share) on an otherwise
+ * policy (fifo, sjf, fair-share) on an otherwise
  * identical rig. Worker time per cell is pinned by an onJob sleep
  * (bulk cells ~25x dearer than interactive ones), so queueing — the
  * thing the policies differ on — dominates measured latency.
@@ -253,8 +253,8 @@ main(int argc, char **argv)
     const int bulk_per_flooder = opts.full ? 5 : 3;
     const int interactive_count = opts.full ? 16 : 10;
 
-    const std::vector<std::string> policies = {
-        "fifo", "biggest-first", "sjf", "fair-share"};
+    const std::vector<std::string> policies = {"fifo", "sjf",
+                                               "fair-share"};
     std::vector<PolicyResult> results;
     for (const std::string &p : policies)
         results.push_back(
@@ -286,9 +286,7 @@ main(int argc, char **argv)
     }
 
     // Latency gate: the interactive p99 under sjf and fair-share must
-    // beat FIFO by each policy's factor. biggest-first is reported
-    // only (it is the adversarial baseline — bulk first — and may be
-    // WORSE).
+    // beat FIFO by each policy's factor.
     bool latency_ok = true;
     const double fifo_p99 = fifo.p99();
     for (const PolicyResult &r : results) {

@@ -57,11 +57,10 @@
 #               Build, then run ONLY the store-lifecycle smoke: a cold
 #               run populates a store, one entry is deliberately
 #               bit-flipped on disk (`gpuperf-worker verify` must exit
-#               2 and quarantine it), the store is force-compacted
-#               into segment files, and a warm run over the compacted
-#               store must produce a byte-identical response; a GC
-#               dry-run and the disk-usage scan round out the admin
-#               verbs. The full (flagless) run executes this step as
+#               2 and quarantine it, then come back clean), the
+#               disk-usage scan must report entries, and a warm run
+#               over the repaired store must produce a byte-identical
+#               response; a GC dry-run rounds out the admin verbs. The full (flagless) run executes this step as
 #               well; artifacts land in <build-dir>/store-smoke/.
 #   build-dir   default: build (build-asan with --sanitize)
 #   build-type  Debug | Release | RelWithDebInfo | ... (default: the
@@ -406,9 +405,9 @@ run_sched_smoke() {
 }
 
 # Store-lifecycle end-to-end: corruption is quarantined (verify exits
-# 2, then 0), compaction folds the store into segment files, and a
-# warm run over the compacted store stays byte-identical to the cold
-# run. Exercises the gc|verify|compact|stats admin verbs for real.
+# 2, then 0), and a warm run over the repaired store stays
+# byte-identical to the cold run. Exercises the gc|verify|stats admin
+# verbs for real.
 run_store_smoke() {
     local SMOKE="$BUILD_DIR/store-smoke"
     local W="$BUILD_DIR/gpuperf-worker"
@@ -438,27 +437,22 @@ run_store_smoke() {
     }
     "$W" verify --store "$STORE" > "$SMOKE/verify-clean.json"
 
-    # Fold everything into segment files; the loose entries vanish
-    # but a warm run must stay byte-identical to the cold one (the
-    # quarantined profile is simply recomputed). Entries younger than
-    # the compactor's min-age guard stay loose, so backdate the
-    # just-written store first.
-    find "$STORE" -type f -exec touch -t 202001010000 {} +
-    "$W" compact --store "$STORE" --force --min-loose 1 \
-        > "$SMOKE/compact.json"
     "$W" stats --store "$STORE" > "$SMOKE/stats.json"
-    grep -q '"segment_files": [1-9]' "$SMOKE/stats.json" || {
-        echo "store-smoke: compaction produced no segment files" >&2
-        cat "$SMOKE/compact.json" "$SMOKE/stats.json" >&2
+    grep -q '"entries": [1-9]' "$SMOKE/stats.json" || {
+        echo "store-smoke: the usage scan reports no entries" >&2
+        cat "$SMOKE/stats.json" >&2
         return 1
     }
+
+    # A warm run must stay byte-identical to the cold one (the
+    # quarantined profile is simply recomputed).
     "$W" run "$SMOKE/request.json" --out "$SMOKE/response-warm.json"
     diff "$SMOKE/response-cold.json" "$SMOKE/response-warm.json"
 
-    # GC dry-run over the compacted store reports without touching.
+    # GC dry-run over the warm store reports without touching.
     "$W" gc --store "$STORE" --gc-bytes 1 --dry-run > "$SMOKE/gc.json"
     grep -q '"ok": true' "$SMOKE/gc.json"
-    echo "store-smoke: corruption quarantined, compacted warm run byte-identical"
+    echo "store-smoke: corruption quarantined, warm run byte-identical"
 }
 
 if [[ "$API_SMOKE_ONLY" == 1 ]]; then

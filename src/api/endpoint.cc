@@ -95,8 +95,8 @@ applyOption(Endpoint *ep, const std::string &key,
     else if (key == "sched") {
         if (!sched::parseSchedPolicy(value, &ep->schedPolicy))
             throw std::runtime_error(
-                "option 'sched' must be fifo, biggest-first, sjf or "
-                "fair-share in '" + uri + "'");
+                "option 'sched' must be fifo, sjf or fair-share in '" +
+                uri + "'");
     } else if (key == "client")
         ep->clientId = value;
     else

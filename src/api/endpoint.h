@@ -35,8 +35,8 @@
  *                      (0 = no age bound)
  *     gc-interval      server: seconds between GC sweeps
  *     json             client sends JSON requests (1/0)
- *     sched            scheduling policy: fifo | biggest-first |
- *                      sjf | fair-share (see src/sched/policy.h)
+ *     sched            scheduling policy: fifo | sjf | fair-share
+ *                      (see src/sched/policy.h)
  *     client           client identity for fair-share accounting
  */
 

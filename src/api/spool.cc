@@ -219,21 +219,18 @@ spoolServe(const Endpoint &ep, AnalysisService &service, bool drain)
                     cost = estimateCellCost(costModel, cell);
                 costs.emplace(id, cost);
             }
-            const bool biggest =
-                ep.schedPolicy == sched::SchedPolicy::kBiggestFirst;
             // stable_sort over the sorted listing: ties (answered
             // jobs, equal costs) keep deterministic id order.
             std::stable_sort(
                 ids.begin(), ids.end(),
-                [&costs, biggest](const std::string &a,
-                                  const std::string &b) {
+                [&costs](const std::string &a, const std::string &b) {
                     const auto ia = costs.find(a);
                     const auto ib = costs.find(b);
                     const double ca =
                         ia == costs.end() ? 0.0 : ia->second;
                     const double cb =
                         ib == costs.end() ? 0.0 : ib->second;
-                    return biggest ? ca > cb : ca < cb;
+                    return ca < cb;
                 });
         }
         for (const std::string &id : ids) {

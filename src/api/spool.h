@@ -110,7 +110,7 @@ struct ServeStats
  * Settings from @p ep: max-jobs (stop after N executed jobs, 0 =
  * unlimited), claim-stale-ms (crash-steal latency) and sched, the
  * claim order within each scan: kSjf claims the cheapest-predicted
- * unanswered job first, kBiggestFirst the dearest; kFairShare
+ * unanswered job first; kFairShare
  * degrades to kSjf (a pull-based worker has no client queue to
  * arbitrate). Costs are predicted from the job file's launch shape
  * (api/cell_cost.h); responses stay bit-identical to kFifo — only

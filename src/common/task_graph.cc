@@ -137,17 +137,9 @@ TaskGraph::submit(NodeId id)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        double key = 0.0;
-        switch (readyOrder_) {
-          case ReadyOrder::kInsertion:
-            break;
-          case ReadyOrder::kSmallestFirst:
-            key = nodes_[id]->cost;
-            break;
-          case ReadyOrder::kBiggestFirst:
-            key = -nodes_[id]->cost;
-            break;
-        }
+        const double key = readyOrder_ == ReadyOrder::kSmallestFirst
+                               ? nodes_[id]->cost
+                               : 0.0;
         ready_.emplace(key, readySeq_++, id);
     }
     // The returned future is deliberately dropped: execute() catches

@@ -74,7 +74,6 @@ class TaskGraph
     {
         kInsertion,     ///< became-ready order (pre-policy behaviour)
         kSmallestFirst, ///< lowest cost first (SJF)
-        kBiggestFirst,  ///< highest cost first (long poles early)
     };
 
     /** @param pool the worker pool nodes execute on (not owned). */
@@ -96,7 +95,7 @@ class TaskGraph
 
     /**
      * Like add(), with a predicted cost for the ready-order policies.
-     * Cost only matters under kSmallestFirst/kBiggestFirst; nodes
+     * Cost only matters under kSmallestFirst; nodes
      * added without one sort as cost 0.
      */
     NodeId add(std::string name, std::function<void()> fn,
@@ -170,7 +169,7 @@ class TaskGraph
      * Ready nodes as (sort key, became-ready seq, id): begin() is the
      * next node a pool token runs. The sort key is derived from the
      * node's cost at insertion per readyOrder_ (0 for kInsertion,
-     * cost for kSmallestFirst, -cost for kBiggestFirst), so the seq
+     * cost for kSmallestFirst), so the seq
      * tie-break always preserves arrival order.
      */
     std::set<std::tuple<double, uint64_t, NodeId>> ready_;

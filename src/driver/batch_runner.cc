@@ -585,9 +585,6 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
     switch (options_.schedPolicy) {
     case sched::SchedPolicy::kFifo:
         break;
-    case sched::SchedPolicy::kBiggestFirst:
-        graph.setReadyOrder(TaskGraph::ReadyOrder::kBiggestFirst);
-        break;
     case sched::SchedPolicy::kSjf:
     case sched::SchedPolicy::kFairShare:
         // The task graph has no client identity; fair-share degrades

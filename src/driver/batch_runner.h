@@ -173,7 +173,7 @@ class BatchRunner
         /**
          * Order in which READY task-graph nodes are claimed by pool
          * workers (`?sched=`): kSjf/kFairShare run cheapest-predicted
-         * analyze nodes first, kBiggestFirst the dearest. Costs come
+         * analyze nodes first. Costs come
          * from the TimingStore's observation side-channel — EWMA wall
          * times per (profile key, timing fingerprint) recorded by
          * earlier runs — falling back to a static launch-size

@@ -8,8 +8,6 @@ parseSchedPolicy(const std::string &name, SchedPolicy *out)
 {
     if (name == "fifo")
         *out = SchedPolicy::kFifo;
-    else if (name == "biggest-first")
-        *out = SchedPolicy::kBiggestFirst;
     else if (name == "sjf")
         *out = SchedPolicy::kSjf;
     else if (name == "fair-share")
@@ -25,8 +23,6 @@ schedPolicyName(SchedPolicy policy)
     switch (policy) {
       case SchedPolicy::kFifo:
         return "fifo";
-      case SchedPolicy::kBiggestFirst:
-        return "biggest-first";
       case SchedPolicy::kSjf:
         return "sjf";
       case SchedPolicy::kFairShare:

@@ -8,9 +8,6 @@
  * results: every consumer is pinned bit-identical to its FIFO run.
  *
  *  - kFifo          arrival order (the pre-policy behaviour; default)
- *  - kBiggestFirst  largest predicted cost first — maximizes
- *                   throughput on a closed batch (long poles start
- *                   early, small jobs backfill the tail)
  *  - kSjf           smallest predicted cost first — minimizes tail
  *                   latency under interactive load
  *  - kFairShare     deficit round robin across client identities
@@ -38,12 +35,11 @@ namespace sched {
 enum class SchedPolicy : uint8_t
 {
     kFifo = 0,
-    kBiggestFirst,
     kSjf,
     kFairShare,
 };
 
-/** Parse "fifo" / "biggest-first" / "sjf" / "fair-share". */
+/** Parse "fifo" / "sjf" / "fair-share". */
 bool parseSchedPolicy(const std::string &name, SchedPolicy *out);
 
 /** The canonical spelling parseSchedPolicy accepts. */
@@ -201,11 +197,6 @@ class PendingQueue
           case SchedPolicy::kSjf:
             return pickBy([](const Entry &a, const Entry &b) {
                 return a.cost != b.cost ? a.cost < b.cost
-                                        : a.seq < b.seq;
-            });
-          case SchedPolicy::kBiggestFirst:
-            return pickBy([](const Entry &a, const Entry &b) {
-                return a.cost != b.cost ? a.cost > b.cost
                                         : a.seq < b.seq;
             });
           case SchedPolicy::kFairShare:

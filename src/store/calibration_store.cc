@@ -3,7 +3,7 @@
 #include "common/thread_pool.h"
 #include "model/device.h"
 #include "store/codecs.h"
-#include "store/lifecycle/segment.h"
+#include "store/lifecycle/lifecycle.h"
 #include "store/serializer.h"
 
 namespace gpuperf {

@@ -1,19 +1,24 @@
 /**
  * @file
  * Shared scaffolding for the store lifecycle subsystem (GC, verify,
- * compaction, usage telemetry): what KIND of file each name in a
- * store directory is, which subdirectories a store root owns, the
- * last-access sidecar index the GC's LRU runs on, and the disk-side
- * usage scan that complements the process-side StoreCounters.
+ * usage telemetry): what KIND of file each name in a store directory
+ * is, which subdirectories a store root owns, the one read path every
+ * store uses (loose entry file + last-access touch), the last-access
+ * sidecar index the GC's LRU runs on, and the disk-side usage scan
+ * that complements the process-side StoreCounters.
  *
  * A store directory holds exactly these citizens:
  *   entries     *.profile *.calibration *.bench *.timing *.obs *.result
  *   leases      *.lease (advisory in-flight markers, store/lease.h)
  *   temps       *<anything>.tmp.<pid>.<seq> (in-flight atomic writes)
- *   segments    pack-*.seg (store/lifecycle/segment.h)
  *   sidecar     access.idx (last-access index, this file)
- *   janitor     compact.lease (one compactor/GC per dir at a time)
+ *   janitor     janitor.lease (one GC per dir at a time)
  *   quarantine/ corrupt entries the Verifier moved aside
+ *
+ * Anything else is not a store citizen and is ignored; in particular
+ * the `pack-*` segment files older builds wrote are never read (their
+ * entries miss, recompute and are written loose again) and may be
+ * deleted.
  */
 
 #ifndef GPUPERF_STORE_LIFECYCLE_LIFECYCLE_H
@@ -24,18 +29,20 @@
 #include <string>
 #include <vector>
 
+#include "store/stats.h"
+
 namespace gpuperf {
 namespace store {
 
 extern const char kAccessIndexName[];   // "access.idx"
 extern const char kQuarantineDirName[]; // "quarantine"
-extern const char kCompactLeaseName[];  // "compact.lease"
+extern const char kJanitorLeaseName[];  // "janitor.lease"
 
 /** True for the entry suffixes every store writes. */
 bool isEntryFileName(const std::string &name);
 /** True for in-flight atomic-write temp files (".tmp." infix). */
 bool isTempFileName(const std::string &name);
-/** True for lease markers (entry leases and the compact lease). */
+/** True for lease markers (entry leases and the janitor lease). */
 bool isLeaseFileName(const std::string &name);
 
 /**
@@ -55,6 +62,28 @@ std::vector<std::string> listDirFiles(const std::string &dir);
 uint64_t fileSizeOf(const std::string &path);
 /** st_mtime of @p path in ms since epoch, or 0. */
 int64_t fileMtimeMs(const std::string &path);
+
+// --- The store read path ----------------------------------------------
+//
+// The two calls every store uses in place of bare readEntryFile /
+// readEntryHeader: the same loose-file read, plus a recordAccess()
+// touch on a hit so the GC sees the entry as recently used.
+
+/**
+ * readEntryFile(@p dir/@p name) (version, key echo and checksum
+ * validated) and, on a hit, recordAccess(@p dir, @p name).
+ */
+bool readStoreEntry(const std::string &dir, const std::string &name,
+                    uint32_t version, const std::string &key,
+                    std::string *payload,
+                    StoreCounters *counters = nullptr);
+
+/**
+ * readEntryHeader(@p dir/@p name) and, on a hit, recordAccess(). The
+ * stores' uncounted existence probe.
+ */
+bool storeEntryExists(const std::string &dir, const std::string &name,
+                      uint32_t version, const std::string &key);
 
 // --- Last-access sidecar ----------------------------------------------
 //
@@ -85,17 +114,11 @@ void loadAccessIndex(const std::string &dir,
 /** What a scan of one store subdirectory found. */
 struct DirUsage
 {
-    uint64_t looseEntries = 0;
-    uint64_t looseBytes = 0;
-    uint64_t segmentFiles = 0;
-    uint64_t segmentEntries = 0; ///< live (un-shadowed) slices
-    uint64_t segmentBytes = 0;   ///< bytes of those live slices
+    uint64_t entries = 0;
+    uint64_t liveBytes = 0;
     uint64_t leases = 0;
     uint64_t tempFiles = 0;
     uint64_t quarantined = 0;
-
-    uint64_t entries() const { return looseEntries + segmentEntries; }
-    uint64_t liveBytes() const { return looseBytes + segmentBytes; }
 };
 
 /** The whole store root, by subdirectory. */

@@ -10,7 +10,6 @@
 
 #include "common/logging.h"
 #include "store/lifecycle/lifecycle.h"
-#include "store/lifecycle/segment.h"
 #include "store/serializer.h"
 
 namespace gpuperf {
@@ -100,10 +99,6 @@ VerifyReport::json(const std::string &indent) const
     appendJsonField(&out, indent, "corrupt_entries", corruptEntries,
                     false);
     appendJsonField(&out, indent, "quarantined", quarantined, false);
-    appendJsonField(&out, indent, "corrupt_segments", corruptSegments,
-                    false);
-    appendJsonField(&out, indent, "corrupt_slices", corruptSlices,
-                    false);
     appendJsonField(&out, indent, "stale_leases", staleLeases, false);
     appendJsonField(&out, indent, "stale_temps", staleTemps, false);
     out += indent + "  \"ok\": " + (ok ? "true" : "false") + ",\n";
@@ -122,8 +117,7 @@ runVerify(const std::string &root, const VerifyOptions &opts,
 
     for (const std::string &sub : listStoreSubdirs(root)) {
         const std::string dir = root + "/" + sub;
-
-        // Loose entries, debris and markers in one directory walk.
+        // Entries, debris and markers in one directory walk.
         for (const std::string &name : listDirFiles(dir)) {
             const std::string path = dir + "/" + name;
             if (isTempFileName(name)) {
@@ -165,54 +159,6 @@ runVerify(const std::string &root, const VerifyOptions &opts,
             else
                 report.ok = false;
         }
-
-        // Segments: a torn index condemns the file; a corrupt slice
-        // only itself. Rewrites happen under the compact lease so a
-        // live compactor/GC is never raced.
-        std::vector<std::string> drop_slices;
-        for (const std::string &seg : listSegmentFiles(dir)) {
-            const std::string seg_path = dir + "/" + seg;
-            std::vector<SegmentEntry> index;
-            if (!readSegmentIndex(seg_path, &index)) {
-                ++report.corruptSegments;
-                if (opts.fix) {
-                    if (quarantineFile(dir, seg))
-                        ++report.quarantined;
-                    else
-                        report.ok = false;
-                }
-                continue;
-            }
-            for (const SegmentEntry &e : index) {
-                ++report.scannedEntries;
-                std::string blob;
-                if (readSegmentSlice(seg_path, e.offset, e.length,
-                                     &blob)) {
-                    report.scannedBytes += blob.size();
-                    if (counters)
-                        counters->read(blob.size());
-                    if (entryBlobValid(blob))
-                        continue;
-                }
-                ++report.corruptSlices;
-                drop_slices.push_back(e.name);
-            }
-        }
-        if (opts.fix && !drop_slices.empty()) {
-            Lease janitor =
-                tryAcquireLease(dir + "/" + kCompactLeaseName,
-                                kLeaseStaleAfterMsDefault, counters);
-            if (janitor.held()) {
-                if (!rewriteSegmentsDropping(dir, drop_slices,
-                                             nullptr, counters))
-                    report.ok = false;
-            } else {
-                // Busy directory: the slices stay (readers already
-                // treat them as misses); the next verify gets them.
-                report.ok = false;
-            }
-        }
-        invalidateSegmentCatalog(dir);
     }
     return report;
 }

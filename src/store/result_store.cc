@@ -1,6 +1,6 @@
 #include "store/result_store.h"
 
-#include "store/lifecycle/segment.h"
+#include "store/lifecycle/lifecycle.h"
 #include "store/serializer.h"
 
 namespace gpuperf {

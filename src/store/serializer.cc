@@ -46,6 +46,25 @@ checkEntryBody(const std::string &body, uint64_t size)
            sum == fnv1a64(body.data(), size);
 }
 
+/** The exact bytes writeEntryFile() puts on disk. */
+std::string
+encodeEntryBlob(uint32_t version, const std::string &key,
+                const std::string &payload)
+{
+    ByteWriter w;
+    w.u64(kMagic);
+    w.u32(version);
+    w.str(key);
+    w.u64(payload.size());
+    std::string blob = w.bytes();
+    blob.append(payload);
+    ByteWriter trailer;
+    trailer.u64(kChecksumMagic);
+    trailer.u64(fnv1a64(payload.data(), payload.size()));
+    blob.append(trailer.bytes());
+    return blob;
+}
+
 } // namespace
 
 void
@@ -165,24 +184,6 @@ ByteReader::rest()
     std::string s(data_.data() + pos_, data_.size() - pos_);
     pos_ = data_.size();
     return s;
-}
-
-std::string
-encodeEntryBlob(uint32_t version, const std::string &key,
-                const std::string &payload)
-{
-    ByteWriter w;
-    w.u64(kMagic);
-    w.u32(version);
-    w.str(key);
-    w.u64(payload.size());
-    std::string blob = w.bytes();
-    blob.append(payload);
-    ByteWriter trailer;
-    trailer.u64(kChecksumMagic);
-    trailer.u64(fnv1a64(payload.data(), payload.size()));
-    blob.append(trailer.bytes());
-    return blob;
 }
 
 bool

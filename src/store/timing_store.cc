@@ -2,7 +2,7 @@
 
 #include "sched/cost.h"
 #include "store/codecs.h"
-#include "store/lifecycle/segment.h"
+#include "store/lifecycle/lifecycle.h"
 #include "store/serializer.h"
 
 namespace gpuperf {
@@ -83,10 +83,8 @@ TimingStore::recordObservationMs(const funcsim::ProfileKey &key,
     double ewma = 0.0;
     uint64_t count = 0;
     std::string payload;
-    // Read through segments (a compacted .obs history keeps merging)
-    // but ALWAYS write loose: the atomic loose write is the
-    // last-write-wins arbiter, and the compactor folds it back in
-    // later.
+    // Read-merge-write: the atomic rename of the new .obs file is the
+    // last-write-wins arbiter between concurrent observers.
     if (readStoreEntry(dir_, name, kObservationFormatVersion, key_str,
                        &payload, &counters_)) {
         ByteReader r(payload);

@@ -3,11 +3,9 @@
  * Store lifecycle tests (src/store/lifecycle/): corrupt entries read
  * as misses and are quarantined by the verifier, never crash a
  * reader; GC evicts to its size/age budget in LRU order without ever
- * touching a leased or in-flight entry; compaction folds loose
- * entries into segments that every store reads through transparently
- * (warm runs over a compacted store stay bit-identical); and the
- * janitors (GC + compactor + verifier) racing a live batch leave its
- * response bit-identical to an undisturbed run.
+ * touching a leased or in-flight entry, and the disk-side usage scan
+ * agrees with what it left; and the janitors (GC + verifier) racing a
+ * live batch leave its response bit-identical to an undisturbed run.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +21,6 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,14 +31,10 @@
 #include "api/request.h"
 #include "api/server.h"
 #include "api/service.h"
-#include "driver/demo_cases.h"
 #include "model/session.h"
-#include "store/lifecycle/compactor.h"
 #include "store/lifecycle/gc.h"
 #include "store/lifecycle/lifecycle.h"
-#include "store/lifecycle/segment.h"
 #include "store/lifecycle/verifier.h"
-#include "store/profile_store.h"
 #include "store/serializer.h"
 #include "store/stats.h"
 
@@ -128,13 +121,14 @@ TEST(Lifecycle, ClassifiesEveryStoreCitizen)
     EXPECT_FALSE(store::isEntryFileName("a.lease"));
     EXPECT_FALSE(store::isEntryFileName("a.profile.tmp.123.4"))
         << "in-flight temp files are not entries";
-    EXPECT_FALSE(store::isEntryFileName("pack-0001-2-3.seg"));
 
     EXPECT_TRUE(store::isTempFileName("a.profile.tmp.123.4"));
     EXPECT_FALSE(store::isTempFileName("a.profile"));
 
     EXPECT_TRUE(store::isLeaseFileName("a.lease"));
-    EXPECT_TRUE(store::isLeaseFileName("compact.lease"));
+    EXPECT_TRUE(store::isLeaseFileName(store::kJanitorLeaseName));
+    EXPECT_TRUE(store::isLeaseFileName("compact.lease"))
+        << "an older build's janitor lease is swept like any lease";
     EXPECT_EQ(store::leaseNameFor("saxpy-0123.profile"),
               "saxpy-0123.lease");
     EXPECT_EQ(store::leaseNameFor("ewma-0123.obs"), "ewma-0123.lease");
@@ -301,6 +295,11 @@ TEST(Gc, EvictsLeastRecentlyUsedToTheByteBudget)
         EXPECT_FALSE(fileExists(dir + "/" + names[i])) << names[i];
     for (int i = 5; i < 8; ++i)
         EXPECT_TRUE(fileExists(dir + "/" + names[i])) << names[i];
+
+    // The disk-side scan sees exactly what the GC left.
+    const store::StoreUsage usage = store::scanStoreUsage(root);
+    EXPECT_EQ(usage.entries(), 3u);
+    EXPECT_EQ(usage.liveBytes(), report.liveBytesAfter);
 }
 
 TEST(Gc, NeverEvictsLeasedOrYoungEntriesEvenOverBudget)
@@ -391,131 +390,7 @@ TEST(Gc, AgeBoundEvictsIdleEntriesOnly)
     EXPECT_TRUE(fileExists(dir + "/" + names[2]));
 }
 
-// --- Compaction: segments served transparently ------------------------
-
-TEST(Compactor, FoldsLooseEntriesIntoASegmentServedTransparently)
-{
-    std::vector<std::string> names;
-    const std::string root =
-        syntheticRoot("compact", 10, 300, &names);
-    const std::string dir = root + "/profiles";
-
-    store::CompactOptions opts;
-    opts.force = true;
-    opts.minAgeMs = 0;
-    const store::CompactReport report = store::runCompact(root, opts);
-    EXPECT_TRUE(report.ok);
-    EXPECT_EQ(report.foldedEntries, 10u);
-    EXPECT_EQ(report.segmentsWritten, 1u);
-    EXPECT_EQ(store::listSegmentFiles(dir).size(), 1u);
-
-    // Loose files are gone; every entry still reads, byte for byte.
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_FALSE(fileExists(dir + "/" + names[i]));
-        std::string payload;
-        ASSERT_TRUE(store::readStoreEntry(dir, names[i], kTestVersion,
-                                          "key-" + std::to_string(i),
-                                          &payload))
-            << names[i];
-        EXPECT_EQ(payload,
-                  std::string(300, static_cast<char>('a' + i % 26)));
-        EXPECT_TRUE(store::storeEntryExists(dir, names[i],
-                                            kTestVersion,
-                                            "key-" + std::to_string(i)));
-    }
-}
-
-TEST(Compactor, LooseRewriteShadowsItsSegmentSlice)
-{
-    std::vector<std::string> names;
-    const std::string root = syntheticRoot("shadow", 4, 100, &names);
-    const std::string dir = root + "/profiles";
-    store::CompactOptions opts;
-    opts.force = true;
-    opts.minAgeMs = 0;
-    ASSERT_TRUE(store::runCompact(root, opts).ok);
-
-    // Republished after the fold (an .obs merge, a newer profile):
-    // the loose file must win over the stale slice.
-    ASSERT_TRUE(store::writeEntryFile(dir + "/" + names[2],
-                                      kTestVersion, "key-2",
-                                      "fresher payload"));
-    std::string payload;
-    ASSERT_TRUE(store::readStoreEntry(dir, names[2], kTestVersion,
-                                      "key-2", &payload));
-    EXPECT_EQ(payload, "fresher payload");
-
-    // The next compaction folds the rewrite forward and the segment
-    // keeps serving the fresher bytes.
-    ASSERT_TRUE(store::runCompact(root, opts).ok);
-    EXPECT_EQ(store::listSegmentFiles(dir).size(), 1u);
-    payload.clear();
-    ASSERT_TRUE(store::readStoreEntry(dir, names[2], kTestVersion,
-                                      "key-2", &payload));
-    EXPECT_EQ(payload, "fresher payload");
-}
-
-TEST(Compactor, GcEvictsFromSegmentsViaRewrite)
-{
-    std::vector<std::string> names;
-    const std::string root = syntheticRoot("seg-gc", 6, 500, &names);
-    const std::string dir = root + "/profiles";
-    for (const std::string &n : names)
-        backdateMtime(dir + "/" + n, 3600);
-    store::CompactOptions copts;
-    copts.force = true;
-    copts.minAgeMs = 0;
-    ASSERT_TRUE(store::runCompact(root, copts).ok);
-
-    store::GcOptions gopts;
-    gopts.maxBytes = 1;
-    gopts.minAgeMs = 0;
-    const store::GcReport report = store::runGc(root, gopts);
-    EXPECT_TRUE(report.ok);
-    EXPECT_EQ(report.evicted, 6u);
-    for (const std::string &n : names) {
-        std::string payload;
-        EXPECT_FALSE(store::readStoreEntry(
-            dir, n, kTestVersion,
-            "key-" + n.substr(6, n.find('.') - 6), &payload))
-            << n;
-    }
-    const store::StoreUsage usage = store::scanStoreUsage(root);
-    EXPECT_EQ(usage.entries(), 0u);
-}
-
-// --- The real stores over a compacted root ----------------------------
-
-TEST(Compactor, ProfileStoreServesCompactedEntriesBitExactly)
-{
-    const std::string dir = freshDir("ps-compact") + "/profiles";
-    auto kc = driver::makeStencil1dCase("stencil", 8, 128);
-    auto launch = kc.make();
-    model::SimulatedDevice dev(arch::GpuSpec::gtx285());
-    auto profile = dev.profile(launch.kernel, launch.cfg, *launch.gmem);
-    {
-        store::ProfileStore ps(dir);
-        ASSERT_TRUE(ps.save(*profile));
-    }
-    store::CompactOptions opts;
-    opts.force = true;
-    opts.minAgeMs = 0;
-    // The store root is the PARENT of profiles/.
-    const std::string root = dir.substr(0, dir.rfind('/'));
-    ASSERT_TRUE(store::runCompact(root, opts).ok);
-    ASSERT_EQ(store::listSegmentFiles(dir).size(), 1u);
-
-    store::ProfileStore warm(dir);
-    auto loaded = warm.load(profile->key);
-    ASSERT_NE(loaded, nullptr)
-        << "a compacted profile must load through the segment";
-    EXPECT_EQ(warm.hits(), 1u);
-    EXPECT_EQ(loaded->kernelName, profile->kernelName);
-    EXPECT_EQ(loaded->trace.totalOps(), profile->trace.totalOps());
-    EXPECT_GT(warm.stats().bytesRead, 0u);
-}
-
-// --- Full-batch acceptance: warm over compacted, racing janitors ------
+// --- Full-batch acceptance: racing janitors ---------------------------
 
 arch::GpuSpec
 tinySpec()
@@ -577,40 +452,6 @@ adoptAll(api::AnalysisService &service, const api::AnalysisRequest &req)
         service.adoptCalibration(req, spec, tables);
 }
 
-TEST(Lifecycle, WarmRunOverCompactedStoreIsBitIdentical)
-{
-    const std::string root = freshDir("warm-compacted");
-    api::AnalysisService service;
-    const api::AnalysisRequest req = lifecycleRequest(root);
-    adoptAll(service, req);
-    const api::AnalysisResponse cold = service.run(req);
-    for (const auto &cell : cold.cells)
-        ASSERT_TRUE(cell.ok) << cell.error;
-
-    // Compact EVERYTHING, then replay from a fresh process image.
-    store::CompactOptions opts;
-    opts.force = true;
-    opts.minAgeMs = 0;
-    const store::CompactReport report = store::runCompact(root, opts);
-    ASSERT_TRUE(report.ok);
-    ASSERT_GT(report.foldedEntries, 0u);
-
-    service.reset();
-    api::AnalysisService warm_service;
-    adoptAll(warm_service, req);
-    const api::AnalysisResponse warm = warm_service.run(req);
-    std::string why;
-    EXPECT_TRUE(api::responsesEqual(cold, warm, &why)) << why;
-
-    // Every loose file was folded, so ANY warm hit was served
-    // through a segment (cells come warm from the result store, so
-    // the hits land there rather than in profiles).
-    const store::StoreLayerStats stats = warm_service.storeStats();
-    EXPECT_GT(stats.total().hits, 0u)
-        << "the warm run must be served through the segments";
-    EXPECT_GT(stats.total().bytesRead, 0u);
-}
-
 TEST(Lifecycle, JanitorsRacingALiveBatchStayBitIdentical)
 {
     // The reference: an undisturbed run on its own store.
@@ -621,20 +462,15 @@ TEST(Lifecycle, JanitorsRacingALiveBatchStayBitIdentical)
     const api::AnalysisResponse ref = ref_service.run(ref_req);
 
     // The contested store: GC under maximal byte pressure (the
-    // min-age guard is the only protection for in-flight entries),
-    // forced compaction, and a fixing verifier, all looping while
-    // the batch runs.
+    // min-age guard is the only protection for in-flight entries)
+    // and a fixing verifier, both looping while the batch runs.
     const std::string root = freshDir("race-live");
     std::atomic<bool> stop{false};
     std::thread janitor([&root, &stop] {
         store::GcOptions gc;
         gc.maxBytes = 1;
-        store::CompactOptions compact;
-        compact.force = true;
-        compact.minAgeMs = 0;
         while (!stop.load()) {
             (void)store::runGc(root, gc);
-            (void)store::runCompact(root, compact);
             (void)store::runVerify(root, {});
         }
     });

@@ -2,7 +2,7 @@
  * @file
  * Scheduler tests: cost-model monotonicity and EWMA refinement (in
  * process and through the TimingStore observation side-channel), the
- * policy-ordered PendingQueue (FIFO/SJF/biggest-first plus urgent
+ * policy-ordered PendingQueue (FIFO/SJF plus urgent
  * drain), fair-share starvation-freedom under a flooding client, and
  * the tentpole invariant — every policy's responses bit-identical
  * (api::responsesEqual) to the FIFO run across 1..8 threads.
@@ -14,10 +14,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "api/codecs.h"
+#include "api/endpoint.h"
 #include "api/registry.h"
 #include "api/request.h"
 #include "api/service.h"
@@ -47,8 +49,7 @@ TEST(SchedPolicy, ParsesEveryCanonicalSpelling)
 {
     using sched::SchedPolicy;
     const SchedPolicy all[] = {
-        SchedPolicy::kFifo, SchedPolicy::kBiggestFirst,
-        SchedPolicy::kSjf, SchedPolicy::kFairShare};
+        SchedPolicy::kFifo, SchedPolicy::kSjf, SchedPolicy::kFairShare};
     for (SchedPolicy p : all) {
         SchedPolicy parsed = SchedPolicy::kFifo;
         EXPECT_TRUE(
@@ -57,7 +58,21 @@ TEST(SchedPolicy, ParsesEveryCanonicalSpelling)
     }
     SchedPolicy parsed = SchedPolicy::kFifo;
     EXPECT_FALSE(sched::parseSchedPolicy("round-robin", &parsed));
+    EXPECT_FALSE(sched::parseSchedPolicy("biggest-first", &parsed));
     EXPECT_FALSE(sched::parseSchedPolicy("", &parsed));
+}
+
+TEST(SchedPolicy, EndpointRejectsAnUnknownPolicyNamingTheValidOnes)
+{
+    try {
+        api::Endpoint::parse("inproc:?sched=biggest-first");
+        FAIL() << "biggest-first must not parse";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "option 'sched' must be fifo, sjf or fair-share"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // --- Cost model -------------------------------------------------------
@@ -209,20 +224,10 @@ TEST(PendingQueue, SjfPopsCheapestFirstWithFifoTieBreak)
     EXPECT_EQ(popAll(q), (std::vector<int>{2, 4, 3, 1}));
 }
 
-TEST(PendingQueue, BiggestFirstPopsDearestFirst)
-{
-    sched::PendingQueue<int> q(sched::SchedPolicy::kBiggestFirst);
-    q.push(1, 5.0);
-    q.push(2, 1.0);
-    q.push(3, 3.0);
-    EXPECT_EQ(popAll(q), (std::vector<int>{1, 3, 2}));
-}
-
 TEST(PendingQueue, UrgentEntriesDrainFirstUnderEveryPolicy)
 {
     for (sched::SchedPolicy p :
          {sched::SchedPolicy::kFifo, sched::SchedPolicy::kSjf,
-          sched::SchedPolicy::kBiggestFirst,
           sched::SchedPolicy::kFairShare}) {
         sched::PendingQueue<int> q(p);
         q.push(1, 0.5);
@@ -342,8 +347,7 @@ TEST(SchedIdentity, EveryPolicyMatchesFifoBitExactlyAcrossThreads)
         ASSERT_EQ(want.cells.size(), 6u);
 
         for (sched::SchedPolicy p :
-             {sched::SchedPolicy::kBiggestFirst,
-              sched::SchedPolicy::kSjf,
+             {sched::SchedPolicy::kSjf,
               sched::SchedPolicy::kFairShare}) {
             api::AnalysisService service;
             // Policy BEFORE adoption: the policy is part of the

@@ -58,15 +58,29 @@ sharedFakeTables()
     return std::make_shared<const model::CalibrationTables>(fakeTables());
 }
 
-std::string
-freshDir(const std::string &name)
+/**
+ * A store directory private to one test: <TempDir>/gpuperf-NAME-PID,
+ * emptied on construction (a reused pid's leftovers must not hand a
+ * cold test a warm store) and removed again when the test ends.
+ */
+struct ScratchDir
 {
-    const std::string dir = ::testing::TempDir() + "gpuperf-" + name +
-                            "-" + std::to_string(::getpid());
-    // Tests reuse process-unique names; stale files from a previous
-    // case in this process are fine (keys disambiguate).
-    return dir;
-}
+    explicit ScratchDir(const std::string &name)
+        : path(::testing::TempDir() + "gpuperf-" + name + "-" +
+               std::to_string(::getpid()))
+    {
+        std::filesystem::remove_all(path);
+    }
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+
+    const std::string path;
+};
 
 TEST(Serializer, RoundTripsScalarsBitExactly)
 {
@@ -117,7 +131,8 @@ TEST(Serializer, OverrunSticksAndReturnsZeros)
 
 TEST(Serializer, EntryFilesRejectForeignKeysAndVersions)
 {
-    const std::string dir = freshDir("entries");
+    const ScratchDir scratch("entries");
+    const std::string &dir = scratch.path;
     ASSERT_TRUE(store::makeDirs(dir));
     const std::string path = dir + "/entry.bin";
     ASSERT_TRUE(store::writeEntryFile(path, 3, "the-key", "payload"));
@@ -145,7 +160,8 @@ TEST(ProfileStore, RoundTripDrivesBitIdenticalPredictions)
     session.adoptCalibration(sharedFakeTables());
     auto profile = session.profile(launch.kernel, launch.cfg, *launch.gmem);
 
-    store::ProfileStore ps(freshDir("profiles"));
+    const ScratchDir scratch("profiles");
+    store::ProfileStore ps(scratch.path);
     ASSERT_TRUE(ps.save(*profile));
     auto loaded = ps.load(profile->key);
     ASSERT_NE(loaded, nullptr);
@@ -183,7 +199,8 @@ TEST(ProfileStore, MissesOnDifferentKey)
     model::SimulatedDevice dev(arch::GpuSpec::gtx285());
     auto profile = dev.profile(launch.kernel, launch.cfg, *launch.gmem);
 
-    store::ProfileStore ps(freshDir("profile-miss"));
+    const ScratchDir scratch("profile-miss");
+    store::ProfileStore ps(scratch.path);
     ASSERT_TRUE(ps.save(*profile));
     funcsim::ProfileKey other = profile->key;
     other.cfg.gridDim += 1;
@@ -198,7 +215,8 @@ TEST(ProfileStore, MissesOnDifferentKey)
 TEST(CalibrationStore, RoundTripsTablesExactly)
 {
     const arch::GpuSpec spec = arch::GpuSpec::gtx285();
-    store::CalibrationStore cs(freshDir("calibrations"));
+    const ScratchDir scratch("calibrations");
+    store::CalibrationStore cs(scratch.path);
     EXPECT_EQ(cs.load(spec), nullptr);
     ASSERT_TRUE(cs.save(spec, fakeTables()));
     auto loaded = cs.load(spec);
@@ -231,7 +249,8 @@ TEST(ResultStore, RoundTripsABatchResultBitExactly)
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].ok) << results[0].error;
 
-    store::ResultStore rs(freshDir("results"));
+    const ScratchDir scratch("results");
+    store::ResultStore rs(scratch.path);
     ASSERT_TRUE(rs.save("cell-key", results[0]));
     auto loaded = rs.load("cell-key");
     ASSERT_NE(loaded, nullptr);
@@ -266,7 +285,8 @@ TEST(ProfileStore, ReadKeyValidatesWithoutDeserializing)
     model::SimulatedDevice dev(arch::GpuSpec::gtx285());
     auto profile = dev.profile(launch.kernel, launch.cfg, *launch.gmem);
 
-    store::ProfileStore ps(freshDir("profile-readkey"));
+    const ScratchDir scratch("profile-readkey");
+    store::ProfileStore ps(scratch.path);
     EXPECT_FALSE(ps.readKey(profile->key)) << "nothing stored yet";
     ASSERT_TRUE(ps.save(*profile));
     EXPECT_TRUE(ps.readKey(profile->key));
@@ -304,7 +324,8 @@ TEST(ProfileStore, KeyedProfileForServesStoreHitsWithoutTheFactory)
     // The public key-only pair: profileKeyFor() derives the identity
     // (one factory run, no simulation), profileFor(kc, spec, key)
     // then serves a store hit without re-running the factory.
-    const std::string dir = freshDir("keyed-profile-for");
+    const ScratchDir scratch("keyed-profile-for");
+    const std::string &dir = scratch.path;
     driver::BatchRunner::Options opts;
     opts.storeDir = dir;
     driver::BatchRunner runner(opts);
@@ -340,7 +361,8 @@ TEST(TimingStore, RoundTripsReplaysBitExactlyPerFingerprint)
     const timing::TimingResult replay =
         dev.timingSim().run(*profile);
 
-    store::TimingStore ts(freshDir("timing-store"));
+    const ScratchDir scratch("timing-store");
+    store::TimingStore ts(scratch.path);
     const arch::TimingFingerprint fp = arch::TimingFingerprint::of(spec);
     EXPECT_EQ(ts.load(profile->key, fp), nullptr);
     ASSERT_TRUE(ts.save(profile->key, fp, replay));
@@ -421,7 +443,8 @@ class WarmStoreTest : public ::testing::Test
 
 TEST_F(WarmStoreTest, WarmRunsAreBitIdenticalAndSkipFunctionalSim)
 {
-    const std::string dir = freshDir("warm-store");
+    const ScratchDir scratch("warm-store");
+    const std::string &dir = scratch.path;
 
     auto cold = makeRunner(dir);
     const auto cold_results = cold->run(kernels_, specs_, sweep_);
@@ -452,7 +475,8 @@ TEST_F(WarmStoreTest, WarmRunsAreBitIdenticalAndSkipFunctionalSim)
 
 TEST_F(WarmStoreTest, WarmResultCellsTakeTheKeyOnlyPath)
 {
-    const std::string dir = freshDir("warm-keyonly");
+    const ScratchDir scratch("warm-keyonly");
+    const std::string &dir = scratch.path;
     auto cold = makeRunner(dir);
     const auto cold_results = cold->run(kernels_, specs_, sweep_);
 
@@ -473,7 +497,8 @@ TEST_F(WarmStoreTest, WarmResultCellsTakeTheKeyOnlyPath)
 
 TEST_F(WarmStoreTest, TimingMemoPersistsAcrossProcesses)
 {
-    const std::string dir = freshDir("warm-timing");
+    const ScratchDir scratch("warm-timing");
+    const std::string &dir = scratch.path;
     auto cold = makeRunner(dir);
     (void)cold->run(kernels_, specs_, sweep_);
     // 3 of the 4 specs share a funcsim fingerprint but all 4 have
@@ -497,7 +522,8 @@ TEST_F(WarmStoreTest, TimingMemoPersistsAcrossProcesses)
 
 TEST_F(WarmStoreTest, SyntheticBenchResultsPersistAcrossRunners)
 {
-    const std::string dir = freshDir("bench-memo");
+    const ScratchDir scratch("bench-memo");
+    const std::string &dir = scratch.path;
     auto cold = makeRunner(dir);
     (void)cold->run(kernels_, specs_, sweep_);
 
@@ -533,7 +559,8 @@ TEST_F(WarmStoreTest, SerialReferenceMatchesStoreServedResults)
     // compare against a per-cell BatchRunner with the same fake
     // tables instead (itself pinned to runSerial's loop in
     // test_batch.cc).
-    const std::string dir = freshDir("store-vs-serial");
+    const ScratchDir scratch("store-vs-serial");
+    const std::string &dir = scratch.path;
     auto cold = makeRunner(dir);
     (void)cold->run(kernels_, specs_, sweep_);
     auto warm = makeRunner(dir);
@@ -553,7 +580,8 @@ TEST_F(WarmStoreTest, SerialReferenceMatchesStoreServedResults)
 
 TEST(CalibrationStoreLease, ExactlyOneProcessHoldsAFreshLease)
 {
-    const std::string dir = freshDir("lease-basic");
+    const ScratchDir scratch("lease-basic");
+    const std::string &dir = scratch.path;
     const arch::GpuSpec spec = arch::GpuSpec::gtx285();
     // Two store objects = two cooperating processes' views.
     store::CalibrationStore a(dir);
@@ -577,7 +605,8 @@ TEST(CalibrationStoreLease, ExactlyOneProcessHoldsAFreshLease)
 
 TEST(CalibrationStoreLease, StaleLeasesAreBrokenAndRetaken)
 {
-    const std::string dir = freshDir("lease-stale");
+    const ScratchDir scratch("lease-stale");
+    const std::string &dir = scratch.path;
     ASSERT_TRUE(store::makeDirs(dir));
     const arch::GpuSpec spec = arch::GpuSpec::gtx285();
     store::CalibrationStore store(dir);
@@ -617,7 +646,8 @@ TEST(CalibrationStoreLease, StaleLeasesAreBrokenAndRetaken)
 
 TEST(LeaseMarker, HostnameLessMarkersAreGovernedByAgeAlone)
 {
-    const std::string dir = freshDir("lease-legacy");
+    const ScratchDir scratch("lease-legacy");
+    const std::string &dir = scratch.path;
     ASSERT_TRUE(store::makeDirs(dir));
     const std::string marker = dir + "/legacy.lease";
     const int64_t now_ms =
@@ -669,7 +699,8 @@ TEST(CalibrationStoreLease, ConcurrentRunnersSplitTheMicrobenchmarkSweep)
     // must hand the sweep to exactly one of them, the other waits
     // and loads the published entry. Pinned on the runners' computed
     // counter, not on timing.
-    const std::string dir = freshDir("lease-split");
+    const ScratchDir scratch("lease-split");
+    const std::string &dir = scratch.path;
     arch::GpuSpec tiny = arch::GpuSpec::gtx285();
     tiny.name = "GTX tiny lease";
     tiny.numSms = 3;
@@ -715,7 +746,8 @@ TEST(CalibrationStore, CountsOneLookupPerCalibration)
     // one spec: one hit or miss per lookup, bytes_read only from the
     // counted load, no rewrite of unchanged bench results. Then a
     // corrupt entry: a miss and a fresh calibration, not an error.
-    const std::string dir = freshDir("cal-counters");
+    const ScratchDir scratch("cal-counters");
+    const std::string &dir = scratch.path;
     arch::GpuSpec tiny = arch::GpuSpec::gtx285();
     tiny.name = "GTX tiny counters";
     tiny.numSms = 3;
@@ -781,8 +813,8 @@ TEST(StoreCounters, CountsOneLookupPerProfileAndTiming)
     // under-lease re-checks (readKey / exists) count nothing, not even
     // header bytes, so a cold lookup is one miss with 0 bytes_read
     // and a warm one a hit whose bytes_read is the entry it decoded.
-    const std::string dir = freshDir("lookup-counters");
-    std::filesystem::remove_all(dir); // a reused pid's leftovers
+    const ScratchDir scratch("lookup-counters");
+    const std::string &dir = scratch.path;
     arch::GpuSpec tiny = arch::GpuSpec::gtx285();
     tiny.name = "GTX tiny lookup counters";
     tiny.numSms = 3;
@@ -873,7 +905,8 @@ TEST(StoreCounters, CountsOneLookupPerProfileAndTiming)
 
 TEST(ProfileLease, ExactlyOneProcessHoldsAFreshLease)
 {
-    const std::string dir = freshDir("profile-lease");
+    const ScratchDir scratch("profile-lease");
+    const std::string &dir = scratch.path;
     store::ProfileStore a(dir);
     store::ProfileStore b(dir);
     funcsim::ProfileKey key;
@@ -902,7 +935,8 @@ TEST(ProfileLease, ExactlyOneProcessHoldsAFreshLease)
 
 TEST(ProfileLease, StaleLeasesAreBrokenAndRetaken)
 {
-    const std::string dir = freshDir("profile-lease-stale");
+    const ScratchDir scratch("profile-lease-stale");
+    const std::string &dir = scratch.path;
     ASSERT_TRUE(store::makeDirs(dir));
     store::ProfileStore store(dir);
     funcsim::ProfileKey key;
@@ -938,7 +972,8 @@ TEST(ProfileLease, StaleLeasesAreBrokenAndRetaken)
 
 TEST(TimingLease, KeyedByProfileKeyAndTimingFingerprint)
 {
-    const std::string dir = freshDir("timing-lease");
+    const ScratchDir scratch("timing-lease");
+    const std::string &dir = scratch.path;
     store::TimingStore store(dir);
     funcsim::ProfileKey key;
     key.kernelHash = 11;
@@ -966,7 +1001,8 @@ TEST(ProfileLease, ConcurrentRunnersSplitTheFuncsim)
     // hand the functional simulation to exactly one of them, the
     // other waits and loads the published entry. Pinned on the
     // runners' funcsimsComputed counter, not on timing.
-    const std::string dir = freshDir("profile-lease-split");
+    const ScratchDir scratch("profile-lease-split");
+    const std::string &dir = scratch.path;
     const arch::GpuSpec spec = arch::GpuSpec::gtx285();
     const auto kc = driver::makeSaxpyCase("lease-saxpy", 8, 128, 2.0f);
 
@@ -998,7 +1034,8 @@ TEST(ProfileLease, ConcurrentRunnersSplitTheFuncsim)
 
 TEST(TimingLease, ConcurrentRunnersSplitTheReplay)
 {
-    const std::string dir = freshDir("timing-lease-split");
+    const ScratchDir scratch("timing-lease-split");
+    const std::string &dir = scratch.path;
     const arch::GpuSpec spec = arch::GpuSpec::gtx285();
     const auto kc = driver::makeSaxpyCase("lease-saxpy-t", 8, 128,
                                           2.0f);

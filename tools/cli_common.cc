@@ -76,19 +76,8 @@ parseCommonArgs(int argc, char **argv, int first, CommonArgs *args)
             args->dryRun = true;
             continue;
         }
-        if (arg == "--force") {
-            args->force = true;
-            continue;
-        }
         if (arg == "--report-only") {
             args->reportOnly = true;
-            continue;
-        }
-        if (arg == "--min-loose") {
-            const char *v = value("--min-loose");
-            if (!v)
-                return false;
-            args->minLoose = std::strtoull(v, nullptr, 10);
             continue;
         }
         if (arg == "--json") {

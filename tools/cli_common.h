@@ -21,14 +21,14 @@
  *   --gc-bytes N        store GC live-byte budget        (`gc-bytes`)
  *   --gc-age SEC        store GC idle-age bound            (`gc-age`)
  *   --gc-interval SEC   server GC sweep period        (`gc-interval`)
- *   --sched POLICY      scheduling policy fifo|biggest-first|sjf|
- *                       fair-share                        (`sched`)
+ *   --sched POLICY      scheduling policy fifo|sjf|fair-share
+ *                                                         (`sched`)
  *   --client ID         client identity for fair-share   (`client`)
  *   --json              send JSON requests                 (`json`)
  *
  * plus the non-endpoint flags --out, --spool, --no-wait, --once,
- * --stats-json and the admin-verb flags --dry-run/--force/--min-loose/
- * --report-only (gpuperf-worker gc|verify|compact|stats). Each knob
+ * --stats-json and the admin-verb flags --dry-run/--report-only
+ * (gpuperf-worker gc|verify|stats). Each knob
  * has exactly this one spelling; anything else is an unknown flag.
  */
 
@@ -59,11 +59,9 @@ struct CommonArgs
     bool statsJson = false;
     bool json = false;
 
-    /** Admin verbs (gpuperf-worker gc|verify|compact). */
+    /** Admin verbs (gpuperf-worker gc|verify). */
     bool dryRun = false;      ///< gc: report, touch nothing
-    bool force = false;       ///< compact: ignore the size thresholds
     bool reportOnly = false;  ///< verify: scan without fixing
-    uint64_t minLoose = 0;    ///< compact: fold threshold (0 = default)
 
     /** Accumulated `k=v&k=v` endpoint options from option flags. */
     std::string query;
