@@ -45,10 +45,10 @@ using namespace gpuperf;
 namespace {
 
 /**
- * The batch as wire-portable case refs — the same KernelJobs a spool
- * submitter would serialize. Six families (histogram included), with
- * v = i/6 varying each family's parameters injectively through the
- * 64-point batch.
+ * The batch as wire-portable case refs — the same KernelJobs a client
+ * would send to a gpuperf-serve daemon. Six families (histogram
+ * included), with v = i/6 varying each family's parameters
+ * injectively through the 64-point batch.
  */
 std::vector<api::KernelJob>
 makeBatch(int points, bool full)

@@ -17,9 +17,9 @@
  *
  * The whole batch is ONE api::AnalysisRequest built from registry
  * case refs — the same wire-portable description `gpuperf-worker`
- * ships to spool workers — executed here in streaming mode: each
- * cell prints the moment the batch task graph completes it, then the
- * ordered summary tables follow. The request's store makes reruns
+ * sends to a gpuperf-serve daemon and its fleet — executed here in
+ * streaming mode: each cell prints the moment the batch task graph
+ * completes it, then the ordered summary tables follow. The request's store makes reruns
  * start warm and skip both simulation and calibration.
  */
 

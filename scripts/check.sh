@@ -3,7 +3,7 @@
 # gtest suite. Fails on any compile error or test failure. Future PRs
 # run this before merging.
 #
-# Usage: scripts/check.sh [--sanitize | --api-smoke | --serve-smoke | --fleet-smoke | --sched-smoke | --store-smoke] [build-dir] [build-type]
+# Usage: scripts/check.sh [--sanitize | --serve-smoke | --fleet-smoke | --sched-smoke | --store-smoke] [build-dir] [build-type]
 #   --sanitize  ASan+UBSan run: Debug build with
 #               -fsanitize=address,undefined,float-cast-overflow (GCC's
 #               "undefined" leaves out float-cast-overflow, which
@@ -11,20 +11,13 @@
 #               input), leak detection on, tests
 #               only (the perf gates measure nothing useful under a
 #               sanitizer). The suite includes the task-graph executor,
-#               streaming-batch and AnalysisService/spool tests
-#               (test_task_graph, test_batch, test_store, test_api),
-#               which exercise the scheduler's and lease protocol's
+#               streaming-batch, store, AnalysisService and fleet
+#               dispatch tests (test_task_graph, test_batch,
+#               test_store, test_api, test_dispatch), which exercise
+#               the scheduler's, lease protocol's and dispatcher's
 #               locking under the sanitizers. Defaults build-dir to
 #               build-asan. This is exactly what the CI sanitize job
 #               executes.
-#   --api-smoke Build, then run ONLY the two-process spool-worker
-#               smoke: a demo AnalysisRequest is executed in-process
-#               and through a parent (submit/collect) plus a separate
-#               worker (serve) process sharing a spool directory; the
-#               two JSON responses must be byte-identical. The full
-#               (flagless) run executes this step after the benches as
-#               well; CI uploads the JSON responses as artifacts from
-#               <build-dir>/api-smoke/.
 #   --serve-smoke
 #               Build, then run ONLY the socket-server smoke: a
 #               gpuperf-serve daemon on a Unix socket serves 4
@@ -74,16 +67,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SANITIZE=0
-API_SMOKE_ONLY=0
 SERVE_SMOKE_ONLY=0
 FLEET_SMOKE_ONLY=0
 SCHED_SMOKE_ONLY=0
 STORE_SMOKE_ONLY=0
 if [[ "${1:-}" == "--sanitize" ]]; then
     SANITIZE=1
-    shift
-elif [[ "${1:-}" == "--api-smoke" ]]; then
-    API_SMOKE_ONLY=1
     shift
 elif [[ "${1:-}" == "--serve-smoke" ]]; then
     SERVE_SMOKE_ONLY=1
@@ -125,34 +114,6 @@ fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j"$JOBS"
-
-# Two-process spool-worker end-to-end: submit + collect in this
-# (parent) process, serve in a SEPARATE worker process, diff the JSON
-# responses against an in-process run of the same request. Leaves its
-# artifacts under <build-dir>/api-smoke/ for CI upload.
-run_api_smoke() {
-    local SMOKE="$BUILD_DIR/api-smoke"
-    local W="$BUILD_DIR/gpuperf-worker"
-    rm -rf "$SMOKE"
-    mkdir -p "$SMOKE"
-    # Two identical requests with SEPARATE stores: the spooled leg
-    # must not be served warm from the in-process leg's result store,
-    # or the diff would pass without the worker executing anything.
-    "$W" demo-request --out "$SMOKE/request.json" \
-        --store "$SMOKE/store-inprocess"
-    "$W" demo-request --out "$SMOKE/request-spooled.json" \
-        --store "$SMOKE/store-spooled"
-    "$W" run "$SMOKE/request.json" --out "$SMOKE/response-inprocess.json"
-    "$W" submit "$SMOKE/request-spooled.json" --spool "$SMOKE/spool" \
-        --no-wait
-    "$W" serve --spool "$SMOKE/spool" &
-    local WORKER_PID=$!
-    "$W" collect "$SMOKE/request-spooled.json" --spool "$SMOKE/spool" \
-        --out "$SMOKE/response-spooled.json" --timeout 300
-    wait "$WORKER_PID"
-    diff "$SMOKE/response-inprocess.json" "$SMOKE/response-spooled.json"
-    echo "api-smoke: spool-worker response identical to the in-process run"
-}
 
 # The poison leg of the serve and fleet smokes: the committed
 # divergent-barrier request (tests/fixtures/) sent through VIA must
@@ -455,12 +416,6 @@ run_store_smoke() {
     echo "store-smoke: corruption quarantined, warm run byte-identical"
 }
 
-if [[ "$API_SMOKE_ONLY" == 1 ]]; then
-    run_api_smoke
-    echo "check.sh: api-smoke green"
-    exit 0
-fi
-
 if [[ "$SERVE_SMOKE_ONLY" == 1 ]]; then
     run_serve_smoke
     echo "check.sh: serve-smoke green"
@@ -534,7 +489,6 @@ fi
 # builds or with GPUPERF_SCHED_GATE=report, like bench_funcsim).
 (cd "$BUILD_DIR" && ./bench_sched_fairness)
 
-run_api_smoke
 run_serve_smoke
 run_fleet_smoke
 run_sched_smoke

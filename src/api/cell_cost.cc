@@ -104,12 +104,5 @@ cellCostFeatures(const AnalysisRequest &req)
     return total;
 }
 
-double
-estimateCellCost(const sched::CostModel &model,
-                 const AnalysisRequest &cell)
-{
-    return model.estimate(cellCostKey(cell), cellCostFeatures(cell));
-}
-
 } // namespace api
 } // namespace gpuperf

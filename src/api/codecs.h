@@ -9,16 +9,14 @@
  * payload in store/codecs.h and store/result_store.h):
  *
  *  - BINARY (store/serializer primitives): the compact machine
- *    format the spool protocol ships between processes. Entry files
- *    carry the shared magic + kSchemaVersion + a caller key, so a
- *    stale or foreign file degrades to a load failure, never to a
- *    misparsed job.
+ *    format the socket frames and the fleet's cell jobs carry between
+ *    processes.
  *  - JSON (api/json.h): the human- and tool-facing format. Finite
  *    doubles are emitted with %.17g (exact round trip); non-finite
  *    doubles as the strings "nan"/"inf"/"-inf"; 64-bit integers that
  *    may exceed 2^53 as decimal strings; raw memory images as hex.
  *    Field order is the field-list order, so two equal responses dump
- *    to byte-identical text (the CI api-smoke diffs on this).
+ *    to byte-identical text (the CI serve and fleet smokes diff on this).
  *
  * Every reader returns false (with a message where the signature
  * allows) on malformed input; a bad job fails, it never crashes the
@@ -43,21 +41,6 @@ bool readRequest(store::ByteReader &r, AnalysisRequest *req);
 
 void writeResponse(store::ByteWriter &w, const AnalysisResponse &resp);
 bool readResponse(store::ByteReader &r, AnalysisResponse *resp);
-
-/**
- * Entry-file wrappers (atomic write, magic + kSchemaVersion + @p key
- * validated on read). The key distinguishes kinds of payloads sharing
- * a directory — the spool protocol keys entries by job id.
- */
-bool saveRequestFile(const std::string &path, const AnalysisRequest &req,
-                     const std::string &key = "request");
-bool loadRequestFile(const std::string &path, AnalysisRequest *req,
-                     const std::string &key = "request");
-bool saveResponseFile(const std::string &path,
-                      const AnalysisResponse &resp,
-                      const std::string &key = "response");
-bool loadResponseFile(const std::string &path, AnalysisResponse *resp,
-                      const std::string &key = "response");
 
 // --- JSON ------------------------------------------------------------
 

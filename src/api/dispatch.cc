@@ -8,7 +8,6 @@
 
 #include "api/cell_cost.h"
 #include "api/codecs.h"
-#include "api/spool.h"
 #include "common/socket.h"
 #include "store/serializer.h"
 
@@ -34,6 +33,40 @@ failedCell(const AnalysisRequest &cell, const std::string &error)
 }
 
 } // namespace
+
+AnalysisRequest
+cellRequest(const AnalysisRequest &req, size_t ki, size_t si)
+{
+    AnalysisRequest cell;
+    cell.schemaVersion = req.schemaVersion;
+    cell.jobName = req.jobName;
+    cell.clientId = req.clientId;
+    cell.kernels = {req.kernels[ki]};
+    cell.specs = {req.specs[si]};
+    cell.sweep = req.sweep;
+    cell.store = req.store;
+    cell.exec = req.exec;
+    // One cell needs one worker thread, and a dispatched job always
+    // collects (streaming is the parent's concern).
+    cell.exec.numThreads = 1;
+    cell.exec.delivery = ExecutionPolicy::Delivery::kCollect;
+    return cell;
+}
+
+AnalysisResponse
+cellFailureResponse(const AnalysisRequest &cell, const std::string &error)
+{
+    AnalysisResponse resp = makeResponseShell(cell);
+    driver::BatchResult r;
+    r.kernelName = cell.kernels.empty() ? std::string("?")
+                                        : cell.kernels[0].name;
+    r.specName = cell.specs.empty() ? std::string("?")
+                                    : cell.specs[0].name;
+    r.ok = false;
+    r.error = error;
+    resp.cells.push_back(std::move(r));
+    return resp;
+}
 
 Dispatcher::Dispatcher(AnalysisService &local, const Endpoint &ep)
     : local_(local), ep_(ep),
@@ -176,8 +209,8 @@ Dispatcher::pump()
                 return;
             for (auto &kv : workers_) {
                 Worker &cand = *kv.second;
-                if (cand.inFlight.size() >=
-                    ep_.limits.maxWorkerInFlight)
+                if (cand.broken ||
+                    cand.inFlight.size() >= ep_.limits.maxWorkerInFlight)
                     continue;
                 if (!w || cand.inFlight.size() < w->inFlight.size())
                     w = kv.second;
@@ -205,6 +238,11 @@ Dispatcher::pump()
         if (!sent) {
             {
                 std::lock_guard<std::mutex> lock(mutex_);
+                // Without this, a pump running on the worker's own
+                // reader thread (after a result) would pick the same
+                // worker for the requeued job forever, and the reader
+                // would never get back to notice the hangup.
+                w->broken = true;
                 auto it = jobs_.find(job_id);
                 if (it != jobs_.end() && !it->second->done &&
                     it->second->assignedWorker == w->id) {
@@ -558,7 +596,8 @@ workerServe(const Endpoint &server, AnalysisService &service,
     }
 
     for (;;) {
-        if (opts.maxJobs != 0 && st.executed >= opts.maxJobs)
+        if (server.limits.maxJobs != 0 &&
+            st.executed >= server.limits.maxJobs)
             break;
         const int rc = readFrame(fd, &type, &payload,
                                  server.limits.maxFrameBytes, stop,
@@ -578,8 +617,7 @@ workerServe(const Endpoint &server, AnalysisService &service,
         try {
             one = service.execute(cell);
         } catch (const std::exception &e) {
-            // A bad job fails its cell, never the worker — mirrors
-            // spoolServe's containment.
+            // A bad job fails its cell, never the worker.
             one = cellFailureResponse(cell, e.what());
         }
         ++st.executed;

@@ -11,12 +11,11 @@
  *   server -> worker   kJob(u64 id + binary single-cell request)
  *   worker -> server   kCell(u64 id + binary single-cell response)
  *
- * Each admitted request is split into single-cell jobs (the same
- * cellRequest derivation the spool protocol uses — which is what
- * makes fleet responses bit-identical to in-process execution, cell
- * for cell), queued, and pushed to the least-loaded live workers,
- * bounded per worker. Results stream back in completion order and
- * are reassembled kernel-major.
+ * Each admitted request is split into single-cell jobs (cellRequest
+ * below — which is what makes fleet responses bit-identical to
+ * in-process execution, cell for cell), queued, and pushed to the
+ * least-loaded live workers, bounded per worker. Results stream back
+ * in completion order and are reassembled kernel-major.
  *
  * Failure containment:
  *
@@ -25,8 +24,7 @@
  *    zero is just PR 6's server;
  *  - a worker DIES holding jobs (EOF, torn frame, SIGKILL): its
  *    in-flight jobs are stolen back onto the queue and re-dispatched
- *    to surviving workers — the socket analogue of spool
- *    crash-steal;
+ *    to surviving workers (crash-steal);
  *  - a job times out (job-timeout) or exceeds the re-dispatch
  *    bound: the request's own thread executes it locally — forward
  *    progress never depends on fleet health;
@@ -67,6 +65,22 @@
 
 namespace gpuperf {
 namespace api {
+
+/**
+ * The single-cell job derived from @p req at (kernel ki, spec si):
+ * one kernel, one spec, one worker thread, collect delivery.
+ */
+AnalysisRequest cellRequest(const AnalysisRequest &req, size_t ki,
+                            size_t si);
+
+/**
+ * A single-cell response whose cell failed before (or instead of)
+ * executing, labeled from the cell request. Shared by the
+ * dispatcher's local fallback and registered workers, so every seam
+ * fails a cell the same way.
+ */
+AnalysisResponse cellFailureResponse(const AnalysisRequest &cell,
+                                     const std::string &error);
 
 /** One worker's health, as seen by Server::stats(). */
 struct WorkerStat
@@ -190,6 +204,12 @@ class Dispatcher
         uint64_t cellsDone = 0;
         std::set<uint64_t> inFlight;
         /**
+         * A job send failed: pump() stops choosing this worker until
+         * its reader thread notices the broken stream and removes it.
+         * Guarded by mutex_.
+         */
+        bool broken = false;
+        /**
          * Serializes kJob writes and gates them on !dead: the fd is
          * closed only after the remover has held this mutex, so no
          * sender can ever write a stale (possibly reused) fd.
@@ -251,8 +271,6 @@ struct WorkerLoopOptions
 {
     /** Registration name ("" = "worker-<pid>"). */
     std::string name;
-    /** Stop after this many executed jobs (0 = until hangup). */
-    size_t maxJobs = 0;
     /** Test hook: observe each job before executing it. */
     std::function<void(const AnalysisRequest &cell)> onJob;
 };
@@ -266,7 +284,8 @@ struct WorkerLoopStats
 /**
  * Register with the gpuperf-serve daemon at @p server (unix:/tcp:)
  * and execute kJob frames through @p service until the server hangs
- * up, @p stop turns true, or opts.maxJobs is reached. Per-job
+ * up, @p stop turns true, or the endpoint's max-jobs bound
+ * (server.limits.maxJobs, 0 = unlimited) is reached. Per-job
  * failures (malformed cell, throwing analysis) answer with a failed
  * cell — they never kill the worker. Throws std::runtime_error when
  * the server is unreachable or registration is refused.

@@ -54,13 +54,9 @@ applyOption(Endpoint *ep, const std::string &key,
 {
     if (key == "store")
         ep->storeDir = value;
-    else if (key == "timeout") {
-        // One deadline knob for "how long may the answer take":
-        // the client's response wait and the spool collect.
-        const double v = parseDouble(key, value, uri);
-        ep->timeouts.responseSeconds = v;
-        ep->timeouts.collectSeconds = v;
-    } else if (key == "idle-timeout")
+    else if (key == "timeout")
+        ep->timeouts.responseSeconds = parseDouble(key, value, uri);
+    else if (key == "idle-timeout")
         ep->timeouts.idleSeconds = parseDouble(key, value, uri);
     else if (key == "job-timeout")
         ep->timeouts.jobSeconds = parseDouble(key, value, uri);
@@ -81,9 +77,6 @@ applyOption(Endpoint *ep, const std::string &key,
     else if (key == "max-jobs")
         ep->limits.maxJobs =
             static_cast<size_t>(parseU64(key, value, uri));
-    else if (key == "claim-stale-ms")
-        ep->timeouts.claimStaleMs =
-            static_cast<int64_t>(parseU64(key, value, uri));
     else if (key == "gc-bytes")
         ep->limits.gcBytes = parseU64(key, value, uri);
     else if (key == "gc-age")
@@ -121,12 +114,6 @@ Endpoint::parse(const std::string &uri, Role role)
 
     if (base == "inproc:" || base == "inproc" || base.empty()) {
         ep.scheme = Scheme::kInproc;
-    } else if (base.rfind("spool:", 0) == 0) {
-        ep.scheme = Scheme::kSpool;
-        ep.path = base.substr(6);
-        if (ep.path.empty())
-            throw std::runtime_error(
-                "spool transport needs a directory: 'spool:DIR'");
     } else if (base.rfind("unix:", 0) == 0) {
         ep.scheme = Scheme::kUnix;
         ep.path = base.substr(5);
@@ -156,8 +143,7 @@ Endpoint::parse(const std::string &uri, Role role)
     } else {
         throw std::runtime_error(
             "unknown transport '" + uri +
-            "' (expected inproc:, spool:DIR, unix:PATH or "
-            "tcp:HOST:PORT)");
+            "' (expected inproc:, unix:PATH or tcp:HOST:PORT)");
     }
 
     // k=v&k=v (bare "k" = "k=", meaningful only for boolean keys).
@@ -186,8 +172,6 @@ Endpoint::uri() const
     switch (scheme) {
     case Scheme::kInproc:
         return "inproc:";
-    case Scheme::kSpool:
-        return "spool:" + path;
     case Scheme::kUnix:
         return "unix:" + path;
     case Scheme::kTcp:

@@ -4,7 +4,7 @@
  * can travel through: one parsed URI plus typed limit/timeout bags.
  * Every consumer reads its settings straight from the Endpoint —
  * api::Server (the first endpoint's settings), api::Dispatcher,
- * spoolServe/spoolCollect and makeTransport — so each setting has
+ * api::workerServe and makeTransport — so each setting has
  * exactly one spelling: the query key below, which is also the tools'
  * flag name (tools/cli_common.h).
  *
@@ -12,14 +12,13 @@
  * the SAME spellings the tools use as flags:
  *
  *     inproc:
- *     spool:DIR?timeout=300&claim-stale-ms=60000
  *     unix:PATH?max-inflight=256&idle-timeout=30
  *     tcp:HOST:PORT?timeout=30&max-cells=64&json=1
  *
  * Option keys by consumer (unknown keys throw — typos fail fast):
  *
  *     store            store root (server: forced on every request)
- *     timeout          response/collect deadline, seconds
+ *     timeout          client response deadline, seconds
  *     idle-timeout     close idle connections after, seconds
  *     job-timeout      re-dispatch a worker-held cell after, seconds
  *     max-clients      concurrent connections accepted
@@ -27,8 +26,7 @@
  *     max-cells        per-request cell quota
  *     max-frame-bytes  frame payload bound
  *     worker-inflight  cells in flight per registered worker
- *     max-jobs         spool serve: stop after N jobs (0 = unlimited)
- *     claim-stale-ms   spool claim staleness (crash-steal latency)
+ *     max-jobs         fleet worker: stop after N jobs (0 = unlimited)
  *     gc-bytes         server: GC the forced store to this live-byte
  *                      budget (0 = no size bound; see store/lifecycle)
  *     gc-age           server: GC entries idle longer than, seconds
@@ -48,7 +46,6 @@
 #include <string>
 
 #include "sched/policy.h"
-#include "store/lease.h"
 
 namespace gpuperf {
 namespace api {
@@ -61,7 +58,6 @@ struct Endpoint
     enum class Scheme
     {
         kInproc,
-        kSpool,
         kUnix,
         kTcp,
     };
@@ -83,7 +79,7 @@ struct Endpoint
     Scheme scheme = Scheme::kInproc;
     Role role = Role::kClient;
 
-    /** Spool directory (kSpool) or Unix socket path (kUnix). */
+    /** Unix socket path (kUnix only). */
     std::string path;
     /** TCP host (kTcp only); loopback by default. */
     std::string host = "127.0.0.1";
@@ -98,8 +94,8 @@ struct Endpoint
 
     /**
      * Scheduling policy for this seam: how a server's dispatcher
-     * orders pending jobs, how spoolServe orders claims, and which
-     * ready order the local executor's task graph uses. Changes
+     * orders pending jobs and which ready order the local
+     * executor's task graph uses. Changes
      * execution ORDER only — responses stay bit-identical to kFifo.
      */
     sched::SchedPolicy schedPolicy = sched::SchedPolicy::kFifo;
@@ -120,7 +116,7 @@ struct Endpoint
         uint64_t maxFrameBytes = 256ull << 20;
         /** Dispatch: cells in flight per registered worker. */
         size_t maxWorkerInFlight = 4;
-        /** Spool serve: stop after N executed jobs (0 = unlimited). */
+        /** Fleet worker: stop after N executed jobs (0 = unlimited). */
         size_t maxJobs = 0;
         /** Server GC: live-byte budget for the forced store (0 = off). */
         uint64_t gcBytes = 0;
@@ -132,12 +128,8 @@ struct Endpoint
         double idleSeconds = -1.0;
         /** Client: response-frame deadline (negative = indefinite). */
         double responseSeconds = -1.0;
-        /** Spool collect deadline, seconds. */
-        double collectSeconds = 600.0;
         /** Dispatch: re-dispatch a worker-held cell after, seconds. */
         double jobSeconds = 600.0;
-        /** Spool claim staleness threshold, milliseconds. */
-        int64_t claimStaleMs = store::kLeaseStaleAfterMsDefault;
         /** Server GC: evict entries idle longer than, seconds (0 = off). */
         double gcAgeSeconds = 0.0;
         /** Server GC: seconds between sweeps (with a bound set). */
@@ -150,7 +142,7 @@ struct Endpoint
     /**
      * Parse "scheme:authority?k=v&k=v" into an Endpoint for @p role.
      * Throws std::runtime_error on an unknown scheme, a malformed
-     * authority (tcp without host:port, spool/unix without a path, a
+     * authority (tcp without host:port, unix without a path, a
      * bad port) or an unrecognized/ill-typed option key.
      */
     static Endpoint parse(const std::string &uri,
@@ -165,7 +157,7 @@ struct Endpoint
  * makeTransport in api/transport.h, which now parses through
  * Endpoint::parse — so query options work on every URI). Client
  * options (timeout, max-frame-bytes, json) are applied to socket
- * transports; spool transports collect under ep.timeouts.
+ * transports.
  */
 std::unique_ptr<Transport> makeTransport(const Endpoint &ep,
                                          AnalysisService *local = nullptr);

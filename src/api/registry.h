@@ -2,7 +2,7 @@
  * @file
  * The kernel-case registry: resolves wire-portable CaseRefs (factory
  * name + arguments) to executable driver::KernelCases. This is what
- * lets a spooled job stay tiny — the worker rebuilds the kernel and
+ * lets a dispatched job stay tiny — the worker rebuilds the kernel and
  * its deterministic input image from the same factory the submitter
  * named, instead of shipping megabytes of instructions and memory.
  *

@@ -10,10 +10,9 @@
  * every constructor signature.
  *
  * Requests and responses are VALUES with versioned binary and JSON
- * codecs (api/codecs.h): a job is a wire-portable artifact a parent
- * process can serialize into a spool directory for cooperating worker
- * processes (api/spool.h) — the repo's first multi-process scaling
- * seam beyond the calibration lease.
+ * codecs (api/codecs.h): a job is a wire-portable artifact a client
+ * can send to a gpuperf-serve daemon, whose dispatcher splits it into
+ * single-cell jobs for registered worker processes (api/dispatch.h).
  */
 
 #ifndef GPUPERF_API_REQUEST_H
@@ -108,7 +107,7 @@ struct StorePolicy
     /**
      * Root of the persistent binary store ("" = disabled): profiles,
      * calibrations, timings and finished results are kept in
-     * subdirectories and shared across processes — spooled workers
+     * subdirectories and shared across processes — fleet workers
      * pointed at one storeDir split calibrations, funcsims and
      * replays through the store leases.
      */
@@ -151,7 +150,7 @@ struct ExecutionPolicy
 struct AnalysisRequest
 {
     uint32_t schemaVersion = kSchemaVersion;
-    /** Display name, echoed in responses and spool job ids. */
+    /** Display name, echoed in responses. */
     std::string jobName;
     /**
      * Client identity for per-tenant fair-share scheduling ("" = the

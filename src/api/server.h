@@ -24,12 +24,10 @@
  *  - per-frame payloads are bounded (maxFrameBytes) and refused
  *    before allocation.
  *
- * Failure containment mirrors the spool protocol: a malformed request
- * is answered with kError, never crashes the server; a client that
- * disconnects mid-stream just loses its deliveries (already-computed
- * artifacts stay in the shared stores, so a reconnecting client
- * re-runs warm — the socket analogue of spool crash-steal, whose
- * recovery the store leases already provide); stop() drains in-flight
+ * Failure containment: a malformed request is answered with kError,
+ * never crashes the server; a client that disconnects mid-stream just
+ * loses its deliveries (already-computed artifacts stay in the shared
+ * stores, so a reconnecting client re-runs warm); stop() drains in-flight
  * requests so every admitted cell is delivered or failed, never
  * silently dropped.
  */

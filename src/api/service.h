@@ -97,7 +97,7 @@ class AnalysisService
      * escape hatch for benches and tests that pin executor-level
      * counters (store hits, funcsims computed); application code
      * should not need it. The cache is bounded (kMaxExecutors,
-     * least-recently-used eviction — a long-lived spool worker
+     * least-recently-used eviction — a long-lived fleet worker
      * serving many distinct store policies must not accumulate
      * thread pools and memos forever), so the reference is
      * guaranteed valid only until requests for other policies are
@@ -171,7 +171,7 @@ class AnalysisService
 
 /**
  * Build the response scaffold for @p req (name, shape) — shared by
- * the in-process executor and the spool collector.
+ * the in-process executor and the fleet dispatcher.
  */
 AnalysisResponse makeResponseShell(const AnalysisRequest &req);
 
@@ -180,8 +180,8 @@ AnalysisResponse makeResponseShell(const AnalysisRequest &req);
  * spec's rules (arch::GpuSpec::validate) and each inline launch's
  * rules under every spec (funcsim::checkLaunch), plus the wire-only
  * thread cap. Throws std::runtime_error — SimError for a spec or
- * launch rule. Executed by AnalysisService::execute, the dispatcher
- * and the spool submitter and collector.
+ * launch rule. Executed by AnalysisService::execute and the
+ * dispatcher.
  */
 void validateRequest(const AnalysisRequest &req);
 

@@ -7,7 +7,6 @@
 
 #include "api/client.h"
 #include "api/endpoint.h"
-#include "api/spool.h"
 #include "common/socket.h"
 
 namespace gpuperf {
@@ -156,37 +155,6 @@ class InProcessTransport : public Transport
 };
 
 /**
- * The shared-filesystem backend. With a local service the jobs are
- * served in-process (self-contained, like runSpooled); without one
- * the caller is trusting external gpuperf-worker processes to drain
- * the directory before the collect deadline.
- */
-class SpoolTransport : public Transport
-{
-  public:
-    SpoolTransport(const Endpoint &ep, AnalysisService *local)
-        : ep_(ep), local_(local)
-    {
-    }
-
-    AnalysisResponse run(const AnalysisRequest &req,
-                         const CellCallback &) override
-    {
-        // No streaming wire through a directory: degrade to collect.
-        if (local_)
-            return runSpooled(ep_, req, *local_);
-        spoolSubmit(ep_.path, req);
-        return spoolCollect(ep_, req);
-    }
-
-    std::string describe() const override { return ep_.uri(); }
-
-  private:
-    Endpoint ep_;
-    AnalysisService *local_;
-};
-
-/**
  * Decorator stamping the endpoint's `?client=` identity onto every
  * request whose own clientId is empty — how one process impersonates
  * one tenant of a shared daemon without touching request-building
@@ -231,9 +199,6 @@ makeTransport(const Endpoint &ep, AnalysisService *local)
     switch (ep.scheme) {
     case Endpoint::Scheme::kInproc:
         transport = std::make_unique<InProcessTransport>(local);
-        break;
-    case Endpoint::Scheme::kSpool:
-        transport = std::make_unique<SpoolTransport>(ep, local);
         break;
     case Endpoint::Scheme::kUnix:
     case Endpoint::Scheme::kTcp: {

@@ -1,8 +1,7 @@
 /**
  * @file
  * Scheduling policies and the policy-ordered pending queue shared by
- * every execution seam (task-graph ready set, spool claim order, fleet
- * dispatcher).
+ * every execution seam (task-graph ready set, fleet dispatcher).
  *
  * A policy only ever changes the ORDER work is started in — never its
  * results: every consumer is pinned bit-identical to its FIFO run.
@@ -57,7 +56,7 @@ struct ClientShare
 
 /**
  * A policy-ordered queue of pending work items. NOT thread-safe —
- * callers (Dispatcher, spoolServe, tests) already own a lock around
+ * callers (Dispatcher, tests) already own a lock around
  * their queue.
  *
  * Urgent entries (pushUrgent) model the dispatcher's crash-steal

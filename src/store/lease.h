@@ -1,8 +1,7 @@
 /**
  * @file
  * Advisory cross-process lease markers — the in-flight protocol every
- * store shares (calibrations since PR 4; profiles, timings and spool
- * jobs since PR 5).
+ * store shares (calibrations, profiles and timings).
  *
  * A lease is a marker file created with O_CREAT|O_EXCL (so exactly one
  * creator wins) recording the holder's pid, start time and hostname.

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <set>
@@ -18,6 +16,8 @@
 #include "driver/batch_runner.h"
 #include "driver/demo_cases.h"
 #include "store/profile_store.h"
+
+#include "scratch_dir.h"
 
 namespace gpuperf {
 namespace driver {
@@ -404,8 +404,8 @@ TEST_F(BatchRunnerTest, StreamEqualsRunEqualsSerialBitForBit)
 
 TEST_F(BatchRunnerTest, StreamIsBitIdenticalColdAndWarmStore)
 {
-    const std::string dir = ::testing::TempDir() + "gpuperf-stream-" +
-                            std::to_string(::getpid());
+    const ScratchDir scratch("stream");
+    const std::string &dir = scratch.path;
     const auto serial = serialReference(kernels_, specs_, sweep_);
 
     auto make_store_runner = [&]() {
@@ -485,8 +485,8 @@ TEST_F(BatchRunnerTest, ThrowingFactoryRunsOncePerFingerprint)
         throw std::runtime_error("factory exploded");
     };
 
-    const std::string dir = ::testing::TempDir() + "gpuperf-broken-" +
-                            std::to_string(::getpid());
+    const ScratchDir scratch("broken");
+    const std::string &dir = scratch.path;
     BatchRunner::Options opts;
     opts.numThreads = 4;
     opts.storeDir = dir; // the key-only warm path needs a store

@@ -5,7 +5,7 @@
  * NaN, +/-inf and -0.0, and non-empty globalXactBySize maps, trace
  * pools and what-if lists. The FNV-1a64 of each codec's output is
  * pinned: a refactor of the codecs must not move a single byte, or
- * existing store entries and spool files would stop decoding.
+ * existing store entries would stop decoding.
  *
  * Also here: the GpuSpec field list is checked against fingerprint()
  * and both codecs, and responsesEqual()'s bit-identity rule is pinned.

@@ -26,10 +26,11 @@
 #include "api/endpoint.h"
 #include "api/server.h"
 #include "api/service.h"
-#include "api/spool.h"
 #include "api/transport.h"
 #include "common/socket.h"
 #include "store/serializer.h"
+
+#include "poison_requests.h"
 
 namespace gpuperf {
 namespace api {
@@ -144,15 +145,23 @@ struct FleetRig
         adoptBothShapes(reference, req);
     }
 
-    ~FleetRig()
+    ~FleetRig() { stop(); }
+
+    /** Stop the server (hanging up on workers) and join them all. */
+    void stop()
     {
         server->stop(); // hangs up on workers; their loops return
         for (std::thread &t : worker_threads)
-            t.join();
+            if (t.joinable())
+                t.join();
     }
 
-    /** Register one in-thread worker and wait until it is live. */
-    void addWorker(const WorkerLoopOptions &opts = {})
+    /**
+     * Register one in-thread worker (@p query = its endpoint options)
+     * and wait until it is live.
+     */
+    void addWorker(const WorkerLoopOptions &opts = {},
+                   const std::string &query = "")
     {
         worker_services.push_back(
             std::make_unique<AnalysisService>());
@@ -161,9 +170,10 @@ struct FleetRig
         worker_stats.emplace_back();
         WorkerLoopStats &stats = worker_stats.back();
         const size_t live_target = server->dispatcher().liveWorkers() + 1;
-        worker_threads.emplace_back([this, &service, &stats, opts] {
+        worker_threads.emplace_back([this, &service, &stats, opts,
+                                     query] {
             const Endpoint ep = Endpoint::parse(
-                "unix:" + unixPath, Endpoint::Role::kWorker);
+                "unix:" + unixPath + query, Endpoint::Role::kWorker);
             stats = workerServe(ep, service, nullptr, opts);
         });
         waitForLiveWorkers(live_target);
@@ -438,11 +448,68 @@ TEST(DispatchTest, MalformedWorkerResultKillsTheWorkerNotTheClient)
 TEST(DispatchTest, WorkerServeRefusesNonSocketEndpoints)
 {
     AnalysisService service;
-    EXPECT_THROW(workerServe(Endpoint::parse("spool:/tmp/nope"),
-                             service),
-                 std::runtime_error);
-    EXPECT_THROW(workerServe(Endpoint::parse("inproc:"), service),
-                 std::runtime_error);
+    for (const char *uri : {"inproc:", "inproc", ""})
+        EXPECT_THROW(workerServe(Endpoint::parse(uri), service),
+                     std::runtime_error)
+            << uri;
+}
+
+// --- Worker-side containment and bounds -------------------------------
+
+TEST(DispatchTest, PoisonCellFailsAloneAndTheWorkerKeepsServing)
+{
+    FleetRig rig("poison");
+    rig.addWorker();
+    const poison::Case bad = poison::cases(rig.req)[0];
+    ServeClient client = ServeClient::overUnix(rig.unixPath);
+
+    // The simulator rejects the cell on the worker: it comes back
+    // failed, labeled with its own kernel and spec, message intact.
+    const AnalysisResponse failed = client.run(bad.req);
+    ASSERT_EQ(failed.cells.size(), 1u);
+    EXPECT_FALSE(failed.cells[0].ok);
+    EXPECT_NE(failed.cells[0].error.find(bad.message), std::string::npos)
+        << bad.what << ": " << failed.cells[0].error;
+    EXPECT_EQ(failed.cells[0].kernelName, bad.req.kernels[0].name);
+    EXPECT_EQ(failed.cells[0].specName, bad.req.specs[0].name);
+
+    // The same worker then serves a normal request bit-identically.
+    const AnalysisResponse want = rig.expected();
+    expectEqual(client.run(rig.req), want);
+
+    const DispatchStats stats = rig.server->dispatcher().stats();
+    EXPECT_EQ(stats.workerDeaths, 0u);
+    EXPECT_EQ(stats.cellsLocal, 0u) << "every cell must run remotely";
+    EXPECT_EQ(stats.cellsCompletedRemote, 1u + want.cells.size());
+    rig.stop();
+    EXPECT_EQ(rig.worker_stats[0].executed, 1u + want.cells.size());
+    EXPECT_EQ(rig.worker_stats[0].failedCells, 1u);
+}
+
+TEST(DispatchTest, MaxJobsWorkerHangsUpAfterThatManyJobs)
+{
+    FleetRig rig("maxjobs");
+    rig.addWorker({}, "?max-jobs=1");
+    const AnalysisResponse want = rig.expected();
+
+    // The worker leaves after its first job; the cells it held are
+    // stolen back and, with no fleet left, finish locally.
+    ServeClient client = ServeClient::overUnix(rig.unixPath);
+    expectEqual(client.run(rig.req), want);
+
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(30);
+    while (rig.server->dispatcher().liveWorkers() != 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(rig.server->dispatcher().liveWorkers(), 0u)
+        << "a max-jobs=1 worker must hang up after one job";
+    rig.stop();
+    EXPECT_EQ(rig.worker_stats[0].executed, 1u);
+
+    const DispatchStats stats = rig.server->dispatcher().stats();
+    EXPECT_EQ(stats.cellsCompletedRemote, 1u);
+    EXPECT_EQ(stats.cellsLocal, want.cells.size() - 1);
 }
 
 } // namespace

@@ -18,7 +18,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <string>
@@ -38,19 +37,10 @@
 #include "store/serializer.h"
 #include "store/stats.h"
 
+#include "scratch_dir.h"
+
 namespace gpuperf {
 namespace {
-
-std::string
-freshDir(const std::string &name)
-{
-    const std::string dir = ::testing::TempDir() + "gpuperf-lc-" +
-                            name + "-" + std::to_string(::getpid());
-    // Process-unique roots; a rerun in the same process reuses them,
-    // so tests scrub their own root first.
-    (void)std::system(("rm -rf " + dir).c_str());
-    return dir;
-}
 
 std::string
 readWhole(const std::string &path)
@@ -87,12 +77,11 @@ backdateMtime(const std::string &path, int64_t seconds_ago)
 
 constexpr uint32_t kTestVersion = 7;
 
-/** A store root with one "profiles" subdir of synthetic entries. */
-std::string
-syntheticRoot(const std::string &name, int entries,
-              size_t payload_bytes, std::vector<std::string> *names)
+/** Fill @p root with one "profiles" subdir of synthetic entries. */
+void
+fillSyntheticRoot(const std::string &root, int entries,
+                  size_t payload_bytes, std::vector<std::string> *names)
 {
-    const std::string root = freshDir(name);
     const std::string dir = root + "/profiles";
     EXPECT_TRUE(store::makeDirs(dir));
     for (int i = 0; i < entries; ++i) {
@@ -107,7 +96,6 @@ syntheticRoot(const std::string &name, int entries,
         if (names)
             names->push_back(entry);
     }
-    return root;
 }
 
 // --- File-kind classification and checksum framing --------------------
@@ -136,7 +124,8 @@ TEST(Lifecycle, ClassifiesEveryStoreCitizen)
 
 TEST(Checksum, LegacyTrailerlessEntriesStayReadable)
 {
-    const std::string root = freshDir("legacy");
+    const ScratchDir scratch("lc-legacy");
+    const std::string &root = scratch.path;
     ASSERT_TRUE(store::makeDirs(root));
     const std::string path = root + "/legacy.profile";
 
@@ -160,7 +149,8 @@ TEST(Checksum, LegacyTrailerlessEntriesStayReadable)
 
 TEST(Checksum, TrailerCatchesSilentPayloadCorruption)
 {
-    const std::string root = freshDir("bitflip");
+    const ScratchDir scratch("lc-bitflip");
+    const std::string &root = scratch.path;
     ASSERT_TRUE(store::makeDirs(root));
     const std::string path = root + "/entry.profile";
     const std::string payload(256, 'x');
@@ -183,7 +173,8 @@ TEST(Checksum, TrailerCatchesSilentPayloadCorruption)
 
 TEST(Verifier, QuarantinesEveryCorruptionShapeAndKeepsValidEntries)
 {
-    const std::string root = freshDir("verify");
+    const ScratchDir scratch("lc-verify");
+    const std::string &root = scratch.path;
     const std::string dir = root + "/profiles";
     ASSERT_TRUE(store::makeDirs(dir));
 
@@ -240,7 +231,8 @@ TEST(Verifier, QuarantinesEveryCorruptionShapeAndKeepsValidEntries)
 
 TEST(Verifier, SweepsStaleTempsAndLeasesButSparesFreshOnes)
 {
-    const std::string root = freshDir("sweep");
+    const ScratchDir scratch("lc-sweep");
+    const std::string &root = scratch.path;
     const std::string dir = root + "/timing";
     ASSERT_TRUE(store::makeDirs(dir));
 
@@ -272,8 +264,9 @@ TEST(Verifier, SweepsStaleTempsAndLeasesButSparesFreshOnes)
 TEST(Gc, EvictsLeastRecentlyUsedToTheByteBudget)
 {
     std::vector<std::string> names;
-    const std::string root =
-        syntheticRoot("gc-budget", 8, 1000, &names);
+    const ScratchDir scratch("lc-gc-budget");
+    const std::string &root = scratch.path;
+    fillSyntheticRoot(root, 8, 1000, &names);
     const std::string dir = root + "/profiles";
     const uint64_t per_entry =
         store::fileSizeOf(dir + "/" + names[0]);
@@ -305,8 +298,9 @@ TEST(Gc, EvictsLeastRecentlyUsedToTheByteBudget)
 TEST(Gc, NeverEvictsLeasedOrYoungEntriesEvenOverBudget)
 {
     std::vector<std::string> names;
-    const std::string root =
-        syntheticRoot("gc-lease", 4, 1000, &names);
+    const ScratchDir scratch("lc-gc-lease");
+    const std::string &root = scratch.path;
+    fillSyntheticRoot(root, 4, 1000, &names);
     const std::string dir = root + "/profiles";
 
     // All old enough to evict — but entry-0 is leased (in flight)
@@ -335,7 +329,9 @@ TEST(Gc, NeverEvictsLeasedOrYoungEntriesEvenOverBudget)
 TEST(Gc, DryRunReportsWithoutTouchingAnything)
 {
     std::vector<std::string> names;
-    const std::string root = syntheticRoot("gc-dry", 4, 1000, &names);
+    const ScratchDir scratch("lc-gc-dry");
+    const std::string &root = scratch.path;
+    fillSyntheticRoot(root, 4, 1000, &names);
     const std::string dir = root + "/profiles";
     for (const std::string &n : names)
         backdateMtime(dir + "/" + n, 3600);
@@ -353,8 +349,9 @@ TEST(Gc, DryRunReportsWithoutTouchingAnything)
 TEST(Gc, AccessIndexBeatsMtimeForRecency)
 {
     std::vector<std::string> names;
-    const std::string root =
-        syntheticRoot("gc-access", 2, 1000, &names);
+    const ScratchDir scratch("lc-gc-access");
+    const std::string &root = scratch.path;
+    fillSyntheticRoot(root, 2, 1000, &names);
     const std::string dir = root + "/profiles";
     // entry-0 has the OLDER mtime but was just read; entry-1 looks
     // newer on disk but is cold. LRU must trust the access index.
@@ -376,7 +373,9 @@ TEST(Gc, AccessIndexBeatsMtimeForRecency)
 TEST(Gc, AgeBoundEvictsIdleEntriesOnly)
 {
     std::vector<std::string> names;
-    const std::string root = syntheticRoot("gc-age", 3, 1000, &names);
+    const ScratchDir scratch("lc-gc-age");
+    const std::string &root = scratch.path;
+    fillSyntheticRoot(root, 3, 1000, &names);
     const std::string dir = root + "/profiles";
     backdateMtime(dir + "/" + names[0], 7200);
     backdateMtime(dir + "/" + names[1], 7200);
@@ -455,7 +454,8 @@ adoptAll(api::AnalysisService &service, const api::AnalysisRequest &req)
 TEST(Lifecycle, JanitorsRacingALiveBatchStayBitIdentical)
 {
     // The reference: an undisturbed run on its own store.
-    const std::string ref_root = freshDir("race-ref");
+    const ScratchDir ref_scratch("lc-race-ref");
+    const std::string &ref_root = ref_scratch.path;
     api::AnalysisService ref_service;
     const api::AnalysisRequest ref_req = lifecycleRequest(ref_root);
     adoptAll(ref_service, ref_req);
@@ -464,7 +464,8 @@ TEST(Lifecycle, JanitorsRacingALiveBatchStayBitIdentical)
     // The contested store: GC under maximal byte pressure (the
     // min-age guard is the only protection for in-flight entries)
     // and a fixing verifier, both looping while the batch runs.
-    const std::string root = freshDir("race-live");
+    const ScratchDir scratch("lc-race-live");
+    const std::string &root = scratch.path;
     std::atomic<bool> stop{false};
     std::thread janitor([&root, &stop] {
         store::GcOptions gc;
@@ -500,7 +501,8 @@ TEST(Lifecycle, JanitorsRacingALiveBatchStayBitIdentical)
 
 TEST(StoreStats, ServiceAggregatesAcrossResetWithoutGoingBackwards)
 {
-    const std::string root = freshDir("stats");
+    const ScratchDir scratch("lc-stats");
+    const std::string &root = scratch.path;
     api::AnalysisService service;
     const api::AnalysisRequest req = lifecycleRequest(root);
     adoptAll(service, req);
@@ -559,7 +561,8 @@ TEST(StoreStats, ServerTakesItsSettingsFromTheFirstEndpoint)
     // The first endpoint's store and GC settings start the GC
     // thread; the second endpoint only adds a listener, so its
     // max-cells=1 quota does not apply.
-    const std::string root = freshDir("first-endpoint");
+    const ScratchDir scratch("lc-first-endpoint");
+    const std::string &root = scratch.path;
     const std::string sock = "/tmp/gpuperf-lc-" +
                              std::to_string(::getpid()) + ".sock";
     api::Server server(std::vector<api::Endpoint>{
@@ -588,7 +591,7 @@ TEST(StoreStats, ServerTakesItsSettingsFromTheFirstEndpoint)
     server.stop();
 
     // Only listeners make a server.
-    for (const char *uri : {"spool:/tmp/gpuperf-lc-spool", "inproc:"}) {
+    for (const char *uri : {"inproc:", "inproc", ""}) {
         const api::Endpoint listener =
             api::Endpoint::parse(uri, api::Endpoint::Role::kServer);
         EXPECT_THROW(api::Server bad(listener), std::runtime_error)

@@ -10,10 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -28,20 +25,10 @@
 #include "sched/policy.h"
 #include "store/timing_store.h"
 
+#include "scratch_dir.h"
+
 namespace gpuperf {
 namespace {
-
-std::string
-freshDir(const std::string &tag)
-{
-    static int counter = 0;
-    const std::string dir = ::testing::TempDir() + "gpuperf-sched-" +
-                            tag + "-" +
-                            std::to_string(::getpid()) + "-" +
-                            std::to_string(counter++);
-    (void)::system(("rm -rf " + dir).c_str());
-    return dir;
-}
 
 // --- Policy parsing ---------------------------------------------------
 
@@ -161,7 +148,8 @@ TEST(CostModel, EwmaMergeFirstSampleWinsThenSmooths)
 
 TEST(TimingStoreObservations, RecordsAndRefinesAcrossCalls)
 {
-    store::TimingStore store(freshDir("obs"));
+    const ScratchDir scratch("sched-obs");
+    store::TimingStore store(scratch.path);
     funcsim::ProfileKey key;
     key.kernelHash = 0x1234;
     key.inputHash = 0x5678;

@@ -24,6 +24,7 @@
 
 #include "api/client.h"
 #include "api/codecs.h"
+#include "api/endpoint.h"
 #include "api/server.h"
 #include "api/service.h"
 #include "api/transport.h"
@@ -179,6 +180,15 @@ TEST(ServeTest, MakeTransportReachesAServer)
     EXPECT_THROW(makeTransport("tcp:127.0.0.1:notaport"),
                  std::runtime_error);
     EXPECT_THROW(makeTransport("spool:"), std::runtime_error);
+    try {
+        Endpoint::parse("spool:/x");
+        FAIL() << "spool: must not parse";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "inproc:, unix:PATH or tcp:HOST:PORT"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // --- Concurrency ------------------------------------------------------

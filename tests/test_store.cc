@@ -31,6 +31,8 @@
 #include "store/serializer.h"
 #include "store/timing_store.h"
 
+#include "scratch_dir.h"
+
 namespace gpuperf {
 namespace {
 
@@ -57,30 +59,6 @@ sharedFakeTables()
 {
     return std::make_shared<const model::CalibrationTables>(fakeTables());
 }
-
-/**
- * A store directory private to one test: <TempDir>/gpuperf-NAME-PID,
- * emptied on construction (a reused pid's leftovers must not hand a
- * cold test a warm store) and removed again when the test ends.
- */
-struct ScratchDir
-{
-    explicit ScratchDir(const std::string &name)
-        : path(::testing::TempDir() + "gpuperf-" + name + "-" +
-               std::to_string(::getpid()))
-    {
-        std::filesystem::remove_all(path);
-    }
-    ~ScratchDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-    ScratchDir(const ScratchDir &) = delete;
-    ScratchDir &operator=(const ScratchDir &) = delete;
-
-    const std::string path;
-};
 
 TEST(Serializer, RoundTripsScalarsBitExactly)
 {

@@ -53,21 +53,6 @@ parseCommonArgs(int argc, char **argv, int first, CommonArgs *args)
             args->out = v;
             continue;
         }
-        if (arg == "--spool") {
-            const char *v = value("--spool");
-            if (!v)
-                return false;
-            args->spool = v;
-            continue;
-        }
-        if (arg == "--no-wait") {
-            args->noWait = true;
-            continue;
-        }
-        if (arg == "--once") {
-            args->once = true;
-            continue;
-        }
         if (arg == "--stats-json") {
             args->statsJson = true;
             continue;
@@ -104,7 +89,6 @@ parseCommonArgs(int argc, char **argv, int first, CommonArgs *args)
             {"--max-frame-bytes", "max-frame-bytes"},
             {"--worker-inflight", "worker-inflight"},
             {"--max-jobs", "max-jobs"},
-            {"--claim-stale-ms", "claim-stale-ms"},
             {"--gc-bytes", "gc-bytes"},
             {"--gc-age", "gc-age"},
             {"--gc-interval", "gc-interval"},

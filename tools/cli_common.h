@@ -8,7 +8,7 @@
  *   --via URI           transport/listener endpoint (repeatable for
  *                       servers: one unix: plus one tcp: listener)
  *   --store DIR         store root         (endpoint option `store`)
- *   --timeout SEC       response/collect deadline       (`timeout`)
+ *   --timeout SEC       client response deadline        (`timeout`)
  *   --idle-timeout SEC  idle-connection close      (`idle-timeout`)
  *   --job-timeout SEC   worker-job re-dispatch      (`job-timeout`)
  *   --max-clients N     connection bound            (`max-clients`)
@@ -16,8 +16,7 @@
  *   --max-cells N       per-request cell quota        (`max-cells`)
  *   --max-frame-bytes N frame payload bound     (`max-frame-bytes`)
  *   --worker-inflight N per-worker job bound    (`worker-inflight`)
- *   --max-jobs N        serve-at-most bound            (`max-jobs`)
- *   --claim-stale-ms MS spool crash-steal bound   (`claim-stale-ms`)
+ *   --max-jobs N        worker serve-at-most bound     (`max-jobs`)
  *   --gc-bytes N        store GC live-byte budget        (`gc-bytes`)
  *   --gc-age SEC        store GC idle-age bound            (`gc-age`)
  *   --gc-interval SEC   server GC sweep period        (`gc-interval`)
@@ -26,10 +25,10 @@
  *   --client ID         client identity for fair-share   (`client`)
  *   --json              send JSON requests                 (`json`)
  *
- * plus the non-endpoint flags --out, --spool, --no-wait, --once,
- * --stats-json and the admin-verb flags --dry-run/--report-only
- * (gpuperf-worker gc|verify|stats). Each knob
- * has exactly this one spelling; anything else is an unknown flag.
+ * plus the non-endpoint flags --out, --stats-json and the admin-verb
+ * flags --dry-run/--report-only (gpuperf-worker gc|verify|stats).
+ * Each knob has exactly this one spelling; anything else is an
+ * unknown flag.
  */
 
 #ifndef GPUPERF_TOOLS_CLI_COMMON_H
@@ -46,16 +45,13 @@ namespace cli {
 
 struct CommonArgs
 {
-    /** First non-flag argument (a request file for run/submit). */
+    /** First non-flag argument (a request file for run). */
     std::string positional;
     /** --via URIs, in order (servers may listen on several). */
     std::vector<std::string> via;
     std::string out;
-    std::string spool;
     /** --store's raw value (also appended as a `store=` option). */
     std::string store;
-    bool noWait = false;
-    bool once = false;
     bool statsJson = false;
     bool json = false;
 

@@ -1,41 +1,24 @@
 /**
  * @file
  * gpuperf-worker — the command-line face of the AnalysisService API
- * and both worker protocols (spool directories and fleet
- * registration). One binary, five modes:
+ * and the fleet worker protocol. One binary, six modes:
  *
  *   gpuperf-worker demo-request --out REQ.json [--store DIR]
  *       Emit a small self-contained demo request (case refs over a
- *       quick-calibrating spec) — the input the api-smoke CI step
- *       feeds the modes below.
+ *       quick-calibrating spec) — the input the serve and fleet CI
+ *       smokes feed the modes below.
  *
  *   gpuperf-worker run REQ.json --out RESP.json [--via URI]
  *       Execute the request and write the JSON response. --via picks
- *       the transport: inproc: (default), spool:DIR, unix:PATH or
- *       tcp:HOST:PORT (the latter two talk to a gpuperf-serve
- *       daemon). The response is bit-identical across transports.
+ *       the transport: inproc: (default), unix:PATH or tcp:HOST:PORT
+ *       (the latter two talk to a gpuperf-serve daemon). The
+ *       response is bit-identical across transports.
  *
- *   gpuperf-worker submit REQ.json --spool DIR [--out RESP.json]
- *                  [--no-wait] [--timeout SEC]
- *       Parent mode: serialize per-cell jobs into the spool
- *       directory; unless --no-wait, block until cooperating workers
- *       answered them all and write the assembled JSON response.
- *
- *   gpuperf-worker serve --via SERVER-URI | --spool DIR
- *                  [--once] [--max-jobs N] [--claim-stale-ms MS]
- *       Worker mode. With `--via unix:PATH` / `--via tcp:HOST:PORT`,
- *       REGISTER with that gpuperf-serve daemon and execute the cell
- *       jobs it dispatches until it hangs up (the fleet protocol —
- *       see src/api/dispatch.h). With a spool directory (--spool DIR
- *       or --via spool:DIR), claim jobs through the lease protocol
- *       (crash-steal included), execute, and write responses; the
- *       default drains the directory, --once does a single claim
- *       pass.
- *
- *   gpuperf-worker collect REQ.json --spool DIR --out RESP.json
- *                  [--timeout SEC]
- *       Parent mode without submission: wait for the request's
- *       responses and assemble them.
+ *   gpuperf-worker serve --via SERVER-URI [--max-jobs N]
+ *       Worker mode: REGISTER with the gpuperf-serve daemon at
+ *       `unix:PATH` / `tcp:HOST:PORT` and execute the cell jobs it
+ *       dispatches until it hangs up or N jobs ran (the fleet
+ *       protocol — see src/api/dispatch.h).
  *
  *   gpuperf-worker gc --store DIR [--gc-bytes N] [--gc-age SEC]
  *                  [--dry-run]
@@ -65,7 +48,6 @@
 #include "api/registry.h"
 #include "api/request.h"
 #include "api/service.h"
-#include "api/spool.h"
 #include "api/transport.h"
 #include "cli_common.h"
 #include "store/lifecycle/gc.h"
@@ -84,13 +66,7 @@ usage()
            "  gpuperf-worker demo-request --out REQ.json [--store DIR]\n"
            "  gpuperf-worker run REQ.json --out RESP.json "
            "[--via URI]\n"
-           "  gpuperf-worker submit REQ.json --spool DIR "
-           "[--out RESP.json] [--no-wait] [--timeout SEC]\n"
-           "  gpuperf-worker serve --via SERVER-URI | --spool DIR\n"
-           "                 [--once] [--max-jobs N] "
-           "[--claim-stale-ms MS]\n"
-           "  gpuperf-worker collect REQ.json --spool DIR "
-           "--out RESP.json [--timeout SEC]\n"
+           "  gpuperf-worker serve --via SERVER-URI [--max-jobs N]\n"
            "  gpuperf-worker gc --store DIR [--gc-bytes N] "
            "[--gc-age SEC] [--dry-run]\n"
            "  gpuperf-worker verify --store DIR [--report-only]\n"
@@ -99,7 +75,7 @@ usage()
            "--timeout --idle-timeout\n"
            "  --job-timeout --max-clients --max-inflight --max-cells "
            "--max-frame-bytes\n"
-           "  --worker-inflight --max-jobs --claim-stale-ms --json\n";
+           "  --worker-inflight --max-jobs --json\n";
     return 1;
 }
 
@@ -140,31 +116,6 @@ demoRequest(const std::string &store_dir)
     req.store.storeDir = store_dir;
     req.exec.numThreads = 2;
     return req;
-}
-
-/**
- * The spool directory named by --spool or a spool: --via URI ("" when
- * neither is present).
- */
-std::string
-spoolDir(const cli::CommonArgs &args)
-{
-    if (!args.spool.empty())
-        return args.spool;
-    for (const std::string &uri : args.via) {
-        const api::Endpoint ep = api::Endpoint::parse(uri);
-        if (ep.scheme == api::Endpoint::Scheme::kSpool)
-            return ep.path;
-    }
-    return "";
-}
-
-/** The spool directory as an endpoint carrying the option flags. */
-api::Endpoint
-spoolEndpoint(const cli::CommonArgs &args, const std::string &dir,
-              api::Endpoint::Role role)
-{
-    return cli::endpointFor(args, "spool:" + dir, role);
 }
 
 } // namespace
@@ -216,58 +167,14 @@ main(int argc, char **argv)
             return cli::cellStatus(resp);
         }
 
-        if (mode == "submit") {
-            const std::string dir = spoolDir(args);
-            if (args.positional.empty() || dir.empty())
-                return usage();
-            api::AnalysisRequest req;
-            if (!cli::loadRequestJson(args.positional, &req))
-                return 1;
-            const auto ids = api::spoolSubmit(dir, req);
-            std::cout << "spooled " << ids.size() << " job(s) into "
-                      << dir << "\n";
-            if (args.noWait)
-                return 0;
-            const api::AnalysisResponse resp =
-                api::spoolCollect(
-                    spoolEndpoint(args, dir, api::Endpoint::Role::kClient),
-                    req);
-            if (!args.out.empty() &&
-                !cli::writeFile(args.out, api::responseToJson(resp))) {
-                std::cerr << "cannot write '" << args.out << "'\n";
-                return 1;
-            }
-            return cli::cellStatus(resp);
-        }
-
         if (mode == "serve") {
-            api::AnalysisService service;
-
-            // Fleet registration: serve --via unix:SOCK / tcp:H:P.
-            if (!args.via.empty() && args.spool.empty()) {
-                const api::Endpoint server = cli::endpointFor(
-                    args, args.via.front(),
-                    api::Endpoint::Role::kWorker);
-                if (server.scheme == api::Endpoint::Scheme::kUnix ||
-                    server.scheme == api::Endpoint::Scheme::kTcp) {
-                    api::WorkerLoopOptions opts;
-                    opts.maxJobs = server.limits.maxJobs;
-                    const api::WorkerLoopStats stats =
-                        api::workerServe(server, service, nullptr,
-                                         opts);
-                    std::cout << "worker executed " << stats.executed
-                              << " job(s), " << stats.failedCells
-                              << " failed cell(s)\n";
-                    return 0;
-                }
-            }
-
-            const std::string dir = spoolDir(args);
-            if (dir.empty())
+            if (args.via.empty())
                 return usage();
-            const api::ServeStats stats = api::spoolServe(
-                spoolEndpoint(args, dir, api::Endpoint::Role::kWorker),
-                service, /*drain=*/!args.once);
+            const api::Endpoint server = cli::endpointFor(
+                args, args.via.front(), api::Endpoint::Role::kWorker);
+            api::AnalysisService service;
+            const api::WorkerLoopStats stats =
+                api::workerServe(server, service);
             std::cout << "worker executed " << stats.executed
                       << " job(s), " << stats.failedCells
                       << " failed cell(s)\n";
@@ -314,26 +221,6 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (mode == "collect") {
-            const std::string dir = spoolDir(args);
-            if (args.positional.empty() || dir.empty() ||
-                args.out.empty())
-                return usage();
-            api::AnalysisRequest req;
-            if (!cli::loadRequestJson(args.positional, &req))
-                return 1;
-            const api::AnalysisResponse resp =
-                api::spoolCollect(
-                    spoolEndpoint(args, dir, api::Endpoint::Role::kClient),
-                    req);
-            if (!cli::writeFile(args.out, api::responseToJson(resp))) {
-                std::cerr << "cannot write '" << args.out << "'\n";
-                return 1;
-            }
-            std::cout << "collected " << resp.cells.size()
-                      << " cell(s) into " << args.out << "\n";
-            return cli::cellStatus(resp);
-        }
     } catch (const std::exception &e) {
         std::cerr << "gpuperf-worker " << mode << ": " << e.what()
                   << "\n";
