@@ -13,11 +13,13 @@
  *
  * 2. Profile sharing and the persistent store on an N x M spec-variant
  *    grid (the paper's Section 5 what-if studies): the per-cell
- *    reference pipeline re-simulates every cell; profile sharing runs
- *    N functional sims for N x M cells; a warm store skips them
+ *    reference (tests/reference_cells.h, on a pool as wide as the
+ *    service's) re-simulates every cell; profile sharing runs N
+ *    functional sims for N x M cells; a warm store skips them
  *    entirely across process restarts (service.reset() plays the
- *    restart). Gate: warm-store analyses/sec >= 3x the per-cell
- *    pipeline at M >= 4 variants (results are bit-identical either
+ *    restart). Every leg is the median of 5 repeats, each from an
+ *    empty store. Gate: warm-store analyses/sec >= 3x the per-cell
+ *    reference at M >= 4 variants (results are bit-identical either
  *    way — pinned by test_profile/test_store/test_api).
  *
  * 3. Streaming delivery: on a two-spec batch whose cold calibrations
@@ -28,17 +30,21 @@
  *    ("streaming").
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <vector>
 
+#include "api/registry.h"
 #include "api/request.h"
 #include "api/service.h"
 #include "bench/bench_common.h"
 #include "common/thread_pool.h"
 #include "store/profile_store.h"
 #include "store/stats.h"
+#include "tests/reference_cells.h"
 
 using namespace gpuperf;
 
@@ -138,6 +144,19 @@ makeSpecGrid()
     return specs;
 }
 
+/** Exit with the first failed cell's error, if any. */
+void
+exitOnFailedCell(const std::vector<driver::BatchResult> &cells)
+{
+    for (const auto &r : cells) {
+        if (!r.ok) {
+            std::cerr << "failing analysis: " << r.kernelName << " x "
+                      << r.specName << ": " << r.error << "\n";
+            std::exit(1);
+        }
+    }
+}
+
 /** Time one request; returns analyses/sec, exits on any failure. */
 double
 timedRun(api::AnalysisService &service, const api::AnalysisRequest &req)
@@ -146,13 +165,7 @@ timedRun(api::AnalysisService &service, const api::AnalysisRequest &req)
     const api::AnalysisResponse resp = service.run(req);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
-    for (const auto &r : resp.cells) {
-        if (!r.ok) {
-            std::cerr << "failing analysis: " << r.kernelName << " x "
-                      << r.specName << ": " << r.error << "\n";
-            std::exit(1);
-        }
-    }
+    exitOnFailedCell(resp.cells);
     return static_cast<double>(resp.cells.size()) / elapsed.count();
 }
 
@@ -256,47 +269,79 @@ main(int argc, char **argv)
                     " spec variants)");
 
     const std::string store_dir = "batch_store_bench";
-    (void)std::system(("rm -rf " + store_dir).c_str());
-
-    const auto policy_run = [&](api::ExecutionPolicy::Pipeline pipeline,
-                                const std::string &dir,
+    const auto policy_run = [&](const std::string &dir,
                                 bool reuse_results) {
         api::AnalysisRequest req = grid;
-        req.exec.pipeline = pipeline;
         req.store.storeDir = dir;
         req.store.reuseStoredResults = reuse_results;
         for (const auto &s : specs)
             service.adoptCalibration(req, s, tables);
         return req;
     };
+    // Every leg reports the median of kRepeats fresh repeats: one
+    // run of a leg swings with host load by more than the gate's
+    // margin.
+    constexpr int kRepeats = 5;
+    const auto median = [](std::vector<double> rates) {
+        std::sort(rates.begin(), rates.end());
+        return rates[rates.size() / 2];
+    };
 
     Table grid_table({"mode", "analyses", "analyses/sec",
                       "speedup vs per-cell"});
-    // Reference pipeline: every cell re-runs the functional simulator.
-    const double percell_rate = timedRun(
-        service,
-        policy_run(api::ExecutionPolicy::Pipeline::kPerCell, "",
-                   false));
-    // Profile sharing, cold store: N functional sims for N x M cells,
-    // profiles written to disk as a side effect.
-    const double cold_rate = timedRun(
-        service, policy_run(api::ExecutionPolicy::Pipeline::kShared,
-                            store_dir, false));
-    // Warm store after a "process restart" (reset() drops every
-    // executor and its in-memory memos): profiles load from disk,
-    // zero functional simulation.
-    service.reset();
-    const api::AnalysisRequest warm_req =
-        policy_run(api::ExecutionPolicy::Pipeline::kShared, store_dir,
-                   false);
-    const double warm_rate = timedRun(service, warm_req);
-    const uint64_t warm_hits =
-        service.executorFor(warm_req).profileStore()->hits();
-    // Warm result store: whole cells served from disk.
-    service.reset();
-    const double result_warm_rate = timedRun(
-        service, policy_run(api::ExecutionPolicy::Pipeline::kShared,
-                            store_dir, true));
+    // The per-cell reference: every cell re-runs the functional
+    // simulator in its own session, with the same adopted tables and
+    // fresh per-spec benchmark memos each repeat. It runs inside a
+    // task of a pool as wide as the service's, so it uses exactly
+    // that many threads, as the service's task graph does.
+    std::vector<driver::KernelCase> grid_cases;
+    for (const api::KernelJob &job : grid.kernels)
+        grid_cases.push_back(api::materializeJob(job));
+    ThreadPool reference_pool(grid.exec.numThreads);
+    std::vector<double> percell_rates;
+    for (int i = 0; i < kRepeats; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        const auto results =
+            reference_pool
+                .submit([&] {
+                    return referenceCells(grid_cases, specs,
+                                          grid.sweep, tables,
+                                          &reference_pool);
+                })
+                .get();
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        exitOnFailedCell(results);
+        percell_rates.push_back(static_cast<double>(results.size()) /
+                                elapsed.count());
+    }
+    // Each repeat replays the store's life from an empty directory;
+    // reset() plays a process restart (it drops every executor and
+    // its in-memory memos):
+    //  - cold: N functional sims for N x M cells, profiles written to
+    //    disk as a side effect;
+    //  - warm store: profiles load from disk, zero functional
+    //    simulation;
+    //  - warm result store: whole cells served from disk.
+    std::vector<double> cold_rates, warm_rates, result_warm_rates;
+    uint64_t warm_hits = 0;
+    for (int i = 0; i < kRepeats; ++i) {
+        (void)std::system(("rm -rf " + store_dir).c_str());
+        service.reset();
+        cold_rates.push_back(
+            timedRun(service, policy_run(store_dir, false)));
+        service.reset();
+        const api::AnalysisRequest warm_req = policy_run(store_dir, false);
+        warm_rates.push_back(timedRun(service, warm_req));
+        warm_hits = service.executorFor(warm_req).profileStore()->hits();
+        service.reset();
+        result_warm_rates.push_back(
+            timedRun(service, policy_run(store_dir, true)));
+    }
+    const double percell_rate = median(percell_rates);
+    const double cold_rate = median(cold_rates);
+    const double warm_rate = median(warm_rates);
+    const double result_warm_rate = median(result_warm_rates);
 
     const size_t cells = grid.kernels.size() * specs.size();
     auto add_row = [&](const char *mode, double rate) {
@@ -318,7 +363,7 @@ main(int argc, char **argv)
     }
     const double share_speedup = warm_rate / percell_rate;
     std::cout << "\nwarm-store speedup: " << Table::num(share_speedup, 2)
-              << "x over the per-cell pipeline at " << specs.size()
+              << "x over the per-cell reference at " << specs.size()
               << " spec variants (gate: >= 3x, cold "
               << Table::num(cold_rate / percell_rate, 2)
               << "x, warm results "

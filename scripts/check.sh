@@ -22,8 +22,10 @@
 #               Build, then run ONLY the socket-server smoke: a
 #               gpuperf-serve daemon on a Unix socket serves 4
 #               concurrent gpuperf-worker clients (run --via unix:...)
-#               plus one TCP client; every response is byte-diffed
-#               against an in-process run of the same request. The
+#               plus one TCP client, then 8 concurrent clients sharing
+#               one --store (each under timeout 60); every response is
+#               byte-diffed against an in-process run of the same
+#               request. The
 #               full (flagless) run executes this and the
 #               bench_serve_soak gate as well; artifacts land in
 #               <build-dir>/serve-smoke/.
@@ -138,8 +140,9 @@ run_poison_leg() {
 
 # Socket-server end-to-end: one gpuperf-serve daemon (Unix socket +
 # ephemeral TCP), 4 concurrent Unix clients and one TCP client, all
-# running the same demo request against per-client stores; every
-# response must be byte-identical to an in-process run. A poison
+# running the same demo request against per-client stores, then 8
+# concurrent clients against one shared store; every response must be
+# byte-identical to an in-process run. A poison
 # request goes first and must fail only its own cell. SIGTERM at the
 # end exercises the graceful-drain shutdown path.
 run_serve_smoke() {
@@ -200,6 +203,34 @@ run_serve_smoke() {
         diff "$SMOKE/response-ref.json" "$SMOKE/response-$i.json"
     done
 
+    # Shared-store leg: 8 concurrent clients send the SAME request,
+    # with ONE store, so the daemon runs them on one executor with
+    # fewer pool threads than requests in flight. Each store lease
+    # must be released by the node that took it; otherwise the
+    # clients wedge until the lease goes stale (15 minutes), which
+    # the per-client timeout turns into a failure.
+    "$W" demo-request --out "$SMOKE/request-shared.json" \
+        --store "$SMOKE/store-shared"
+    PIDS=()
+    for i in 1 2 3 4 5 6 7 8; do
+        timeout 60 "$W" run "$SMOKE/request-shared.json" \
+            --out "$SMOKE/response-shared-$i.json" \
+            --via "unix:$SOCK" > "$SMOKE/client-shared-$i.log" 2>&1 &
+        PIDS+=($!)
+    done
+    for i in 1 2 3 4 5 6 7 8; do
+        wait "${PIDS[$((i - 1))]}" || {
+            echo "serve-smoke: shared-store client $i failed or timed out" >&2
+            cat "$SMOKE/client-shared-$i.log" >&2
+            # A wedged daemon would sit out a graceful drain.
+            kill -KILL "$SERVE_PID" 2>/dev/null || true
+            return 1
+        }
+    done
+    for i in 1 2 3 4 5 6 7 8; do
+        diff "$SMOKE/response-ref.json" "$SMOKE/response-shared-$i.json"
+    done
+
     kill -TERM "$SERVE_PID"
     wait "$SERVE_PID"
     grep -q "served .* (1 failed)" "$SMOKE/serve.log" || {
@@ -208,7 +239,7 @@ run_serve_smoke() {
         cat "$SMOKE/serve.log" >&2
         return 1
     }
-    echo "serve-smoke: poison cell failed alone; 5 concurrent socket clients byte-identical to the in-process run"
+    echo "serve-smoke: poison cell failed alone; 5 concurrent socket clients and 8 shared-store clients byte-identical to the in-process run"
 }
 
 # Fleet-dispatch end-to-end: one gpuperf-serve daemon with a SHARED

@@ -79,19 +79,10 @@ template <>
 struct EnumTraits<timing::ReplayEngine>
 {
     static constexpr timing::ReplayEngine kLast =
-        timing::ReplayEngine::kAuto;
+        timing::ReplayEngine::kLegacyScan;
     static constexpr const char *kWhat = "engine";
     static constexpr const char *kNames[] = {"event-driven",
-                                             "legacy-scan", "auto"};
-};
-
-template <>
-struct EnumTraits<api::ExecutionPolicy::Pipeline>
-{
-    static constexpr api::ExecutionPolicy::Pipeline kLast =
-        api::ExecutionPolicy::Pipeline::kPerCell;
-    static constexpr const char *kWhat = "pipeline";
-    static constexpr const char *kNames[] = {"shared", "per-cell"};
+                                             "legacy-scan"};
 };
 
 template <>
@@ -242,7 +233,6 @@ fields(V &v, api::ExecutionPolicy &x)
 {
     v("numThreads", x.numThreads);
     v("engine", x.engine);
-    v("pipeline", x.pipeline);
     v("delivery", x.delivery);
 }
 

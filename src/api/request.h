@@ -38,7 +38,7 @@ namespace api {
  * change to the schema structs or their codecs; readers reject other
  * versions and the caller re-issues the job.
  */
-constexpr uint32_t kSchemaVersion = 3;
+constexpr uint32_t kSchemaVersion = 4;
 
 /**
  * A kernel case by reference: a registry factory name plus its
@@ -120,18 +120,13 @@ struct StorePolicy
     bool reuseStoredResults = true;
 };
 
-/** Execution policy of a request. */
+/**
+ * Execution policy of a request. Every request runs on the shared
+ * task graph (driver/batch_runner.h): one functional simulation per
+ * kernel and funcsim fingerprint, reused by every spec variant.
+ */
 struct ExecutionPolicy
 {
-    /**
-     * How cells share simulation work. The enum replaces
-     * BatchRunner::Options' shareProfiles boolean: kShared is the
-     * production pipeline (N funcsims for N x M cells), kPerCell the
-     * reference pipeline every optimization is pinned bit-identical
-     * against.
-     */
-    enum class Pipeline { kShared, kPerCell };
-
     /** How results leave the service (see AnalysisService::execute). */
     enum class Delivery { kCollect, kStream };
 
@@ -139,7 +134,6 @@ struct ExecutionPolicy
     int numThreads = 0;
     /** Timing replay engine (engines are bit-identical by contract). */
     timing::ReplayEngine engine = timing::ReplayEngine::kEventDriven;
-    Pipeline pipeline = Pipeline::kShared;
     Delivery delivery = Delivery::kCollect;
 };
 

@@ -97,8 +97,6 @@ AnalysisService::executorOptions(const AnalysisRequest &req)
     opts.numThreads = req.exec.numThreads;
     opts.storeDir = req.store.storeDir;
     opts.reuseStoredResults = req.store.reuseStoredResults;
-    opts.shareProfiles =
-        req.exec.pipeline == ExecutionPolicy::Pipeline::kShared;
     opts.engine = req.exec.engine;
     return opts;
 }
@@ -115,7 +113,6 @@ AnalysisService::executorHandleFor(const AnalysisRequest &req)
     // builds a fresh executor instead of mutating a running one).
     const std::string key =
         std::to_string(opts.numThreads) + "|" + opts.storeDir + "|" +
-        (opts.shareProfiles ? "S" : "s") +
         (opts.reuseStoredResults ? "R" : "r") +
         std::to_string(static_cast<int>(opts.engine)) + "|" +
         sched::schedPolicyName(opts.schedPolicy);

@@ -8,9 +8,10 @@
  * (api/request.h), and those classes become internal executors.
  *
  * Results are pinned bit-identical to the pre-redesign paths: a
- * request executes on the same BatchRunner task graph (or the serial
- * reference loop), so service == BatchRunner::run == runSerial, cell
- * for cell, double for double (tests/test_api.cc).
+ * request executes on the BatchRunner task graph, so service ==
+ * BatchRunner::run == a serial loop of AnalysisSession::analyze
+ * calls (tests/reference_cells.h), cell for cell, double for double
+ * (tests/test_api.cc).
  *
  * The service is long-lived: it keeps one executor per distinct
  * (store, execution) policy, so repeated requests share in-memory

@@ -29,7 +29,7 @@ using TablesPtr = std::shared_ptr<const model::CalibrationTables>;
 using BenchMemoPtr = std::shared_ptr<model::GlobalBenchMemo>;
 
 /**
- * Error packaging shared by every evaluation path: run @p body,
+ * Error packaging shared by every cell outcome: run @p body,
  * converting any exception into a failed-but-present result so one
  * bad case never aborts the batch (even for exotic non-std
  * exceptions).
@@ -55,18 +55,16 @@ guardedCell(const std::string &kernel_name, const std::string &spec_name,
 }
 
 /**
- * Shared analysis core of one cell: fresh session adopting the
- * per-spec calibration state, one analysis from @p produce, then the
- * sweep. Both the per-cell and the profile-sharing pipelines end
- * here, which is what keeps them bit-identical by construction.
+ * Analysis core of one cell: a fresh session adopting the per-spec
+ * calibration state analyzes the shared profile and timing replay,
+ * then the sweep runs on the analysis.
  */
 void
-analyzeInto(
-    BatchResult &r, const arch::GpuSpec &spec, TablesPtr tables,
-    BenchMemoPtr memo, const SweepSpec &sweep,
-    timing::ReplayEngine engine,
-    const std::function<model::Analysis(model::AnalysisSession &)>
-        &produce)
+analyzeInto(BatchResult &r, const arch::GpuSpec &spec, TablesPtr tables,
+            BenchMemoPtr memo, const SweepSpec &sweep,
+            timing::ReplayEngine engine,
+            const std::shared_ptr<const funcsim::KernelProfile> &profile,
+            const std::shared_ptr<const timing::TimingResult> &timing)
 {
     model::SessionConfig config;
     config.engine = engine;
@@ -74,7 +72,7 @@ analyzeInto(
     model::AnalysisSession session(spec, config);
     if (memo)
         session.calibrator().shareGlobalMemo(std::move(memo));
-    r.analysis = produce(session);
+    r.analysis = session.analyze(profile, timing);
     if (!sweep.empty()) {
         // The analysis already predicted the unmodified input; the
         // sweep reuses that as every hypothesis's baseline.
@@ -82,32 +80,6 @@ analyzeInto(
                              r.analysis.prediction);
     }
     r.ok = true;
-}
-
-/**
- * One full per-cell evaluation: fresh memory image, analyze, sweep.
- * Self-contained so the serial loop and the pool workers share it.
- * @p tables and @p memo carry the per-spec shared calibration state.
- */
-BatchResult
-evaluateOne(const KernelCase &kernel_case, const arch::GpuSpec &spec,
-            TablesPtr tables, BenchMemoPtr memo, const SweepSpec &sweep,
-            timing::ReplayEngine engine =
-                timing::ReplayEngine::kEventDriven)
-{
-    return guardedCell(kernel_case.name, spec.name, [&](BatchResult &r) {
-        if (!kernel_case.make)
-            throw std::runtime_error("kernel case has no factory");
-        PreparedLaunch launch = kernel_case.make();
-        if (!launch.gmem)
-            throw std::runtime_error("kernel case produced no memory");
-        analyzeInto(r, spec, std::move(tables), std::move(memo), sweep,
-                    engine, [&](model::AnalysisSession &session) {
-                        return session.analyze(launch.kernel, launch.cfg,
-                                               *launch.gmem,
-                                               launch.options);
-                    });
-    });
 }
 
 /** Run @p kc's factory, validating the case and its output. */
@@ -153,7 +125,7 @@ simulateProfile(const arch::GpuSpec &spec, PreparedLaunch &launch,
 }
 
 /**
- * Guard the keyed-profile paths against a factory that violates the
+ * Guard a profile rebuild against a factory that violates the
  * documented repeatability contract: a launch rebuilt after the key
  * was derived must still digest to that key, or the simulation would
  * be persisted under another image's identity — poisoning the store
@@ -393,14 +365,6 @@ BatchRunner::calibrate(const arch::GpuSpec &spec)
     return tables; // lease marker removed after the save
 }
 
-funcsim::ProfileKey
-BatchRunner::profileKeyFor(const KernelCase &kc,
-                           const arch::GpuSpec &spec)
-{
-    const PreparedLaunch launch = makeLaunch(kc);
-    return profileKeyOf(launch, spec);
-}
-
 std::shared_ptr<const funcsim::KernelProfile>
 BatchRunner::profileAwait(const funcsim::ProfileKey &key,
                           store::Lease *lease)
@@ -416,75 +380,30 @@ BatchRunner::profileAwait(const funcsim::ProfileKey &key,
         /*poll_ms=*/10);
 }
 
-std::shared_ptr<const funcsim::KernelProfile>
-BatchRunner::profileFor(const KernelCase &kc, const arch::GpuSpec &spec)
-{
-    PreparedLaunch launch = makeLaunch(kc);
-    // One key computation (it digests the memory image) serves both
-    // the store lookup and, on a miss, the built profile.
-    const funcsim::ProfileKey key = profileKeyOf(launch, spec);
-    store::Lease lease;
-    if (auto profile = profileAwait(key, &lease))
-        return profile;
-    auto profile = simulateProfile(spec, launch, key);
-    ++funcsimsComputed_;
-    if (profileStore_)
-        profileStore_->save(*profile);
-    return profile; // the held lease releases after the save
-}
-
-std::shared_ptr<const funcsim::KernelProfile>
-BatchRunner::profileFor(const KernelCase &kc, const arch::GpuSpec &spec,
-                        const funcsim::ProfileKey &key)
-{
-    // Known key: a store hit needs no factory run at all — the entry
-    // self-validates against the key, which profileKeyFor() already
-    // derived from the same (repeatable) factory.
-    store::Lease lease;
-    if (auto profile = profileAwait(key, &lease))
-        return profile;
-    PreparedLaunch launch = makeLaunch(kc);
-    requireRepeatableFactory(kc, launch, spec, key);
-    auto profile = simulateProfile(spec, launch, key);
-    ++funcsimsComputed_;
-    if (profileStore_)
-        profileStore_->save(*profile);
-    return profile; // the held lease releases after the save
-}
-
 std::shared_ptr<const timing::TimingResult>
-BatchRunner::timingCompute(
+BatchRunner::replayOf(
     const std::shared_ptr<const funcsim::KernelProfile> &profile,
-    const arch::GpuSpec &spec, bool *computed,
-    std::shared_ptr<store::Lease> *lease_out)
+    const arch::GpuSpec &spec)
 {
     GPUPERF_ASSERT(profile != nullptr, "timing of a null profile");
     const arch::TimingFingerprint fp = arch::TimingFingerprint::of(spec);
     const std::string key = store::TimingStore::keyFor(profile->key, fp);
-    *computed = false;
     return timings_.getOrCompute(
         key, [&]() -> std::shared_ptr<const timing::TimingResult> {
+            // Same lease dance as profiles/calibrations: only the
+            // holder replays; losers poll for the published entry.
+            store::Lease lease;
             if (timingStore_) {
-                // Same lease dance as profiles/calibrations: only the
-                // holder replays; losers poll for the published entry.
-                auto lease = std::make_shared<store::Lease>();
                 if (auto stored = awaitPublished(
-                        [&] {
-                            return timingStore_->load(profile->key,
-                                                      fp);
-                        },
+                        [&] { return timingStore_->load(profile->key, fp); },
                         [&] {
                             return timingStore_->tryAcquireLease(
                                 profile->key, fp);
                         },
-                        [&] {
-                            return timingStore_->exists(profile->key,
-                                                        fp);
-                        },
-                        lease.get(), /*poll_ms=*/5)) {
+                        [&] { return timingStore_->exists(profile->key, fp); },
+                        &lease, /*poll_ms=*/5)) {
                     return stored;
                 }
-                *lease_out = std::move(lease);
             }
             // A standalone simulator for the spec replays exactly what
             // a session's device would (both are deterministic
@@ -492,27 +411,11 @@ BatchRunner::timingCompute(
             timing::TimingSimulator sim(spec, options_.engine);
             auto result = std::make_shared<const timing::TimingResult>(
                 sim.run(*profile));
-            *computed = true;
             ++timingsComputed_;
-            return result;
+            if (timingStore_)
+                timingStore_->save(profile->key, fp, *result);
+            return result; // the held lease releases after the save
         });
-}
-
-std::shared_ptr<const timing::TimingResult>
-BatchRunner::timingFor(
-    const std::shared_ptr<const funcsim::KernelProfile> &profile,
-    const arch::GpuSpec &spec)
-{
-    bool computed = false;
-    std::shared_ptr<store::Lease> lease;
-    auto result = timingCompute(profile, spec, &computed, &lease);
-    if (computed && timingStore_) {
-        timingStore_->save(profile->key,
-                           arch::TimingFingerprint::of(spec), *result);
-    }
-    if (lease)
-        lease->release(); // after the save: waiters load, not replay
-    return result;
 }
 
 std::shared_ptr<const model::CalibrationTables>
@@ -707,12 +610,11 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
             auto slot = std::make_shared<ProfileSlot>();
             const auto id = graph.add(
                 "profile:" + kc->name,
-                [this, &graph, kc, spec, pslot, slot]() {
+                [this, kc, spec, pslot, slot]() {
                     try {
                         auto pc = pslot->pc;
-                        auto lease = std::make_shared<store::Lease>();
-                        if (auto p = profileAwait(pc->key,
-                                                  lease.get())) {
+                        store::Lease lease;
+                        if (auto p = profileAwait(pc->key, &lease)) {
                             slot->profile = std::move(p);
                             pc->discardLaunch();
                             return;
@@ -735,21 +637,13 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                         slot->profile =
                             simulateProfile(*spec, *launch, pc->key);
                         ++funcsimsComputed_;
-                        if (profileStore_) {
-                            // Writer node: persistence runs beside
-                            // the cells consuming the profile, not
-                            // ahead of them. The in-flight lease is
-                            // released only after the save, so a
-                            // cooperating process polling the key
-                            // loads the entry instead of duplicating
-                            // the funcsim.
-                            auto profile = slot->profile;
-                            graph.add("write-profile:" + kc->name,
-                                      [this, profile, lease]() {
-                                          profileStore_->save(*profile);
-                                          lease->release();
-                                      });
-                        }
+                        // Saved before the node returns: the lease
+                        // releases after the save, so every runner
+                        // polling the key loads the entry instead of
+                        // duplicating the funcsim — and never waits on
+                        // a node that is not running.
+                        if (profileStore_)
+                            profileStore_->save(*slot->profile);
                     } catch (...) {
                         slot->error = std::current_exception();
                     }
@@ -775,35 +669,14 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
             auto prof_slot = prof.second;
             const auto id = graph.add(
                 "timing:" + kc->name,
-                [this, &graph, kc, spec, prof_slot, slot]() {
+                [this, spec, prof_slot, slot]() {
                     if (prof_slot->error) {
                         slot->error = prof_slot->error;
                         return;
                     }
                     try {
-                        bool computed = false;
-                        std::shared_ptr<store::Lease> lease;
-                        slot->result = timingCompute(
-                            prof_slot->profile, *spec, &computed,
-                            &lease);
-                        if (computed && timingStore_) {
-                            auto profile = prof_slot->profile;
-                            auto result = slot->result;
-                            graph.add(
-                                "write-timing:" + kc->name,
-                                [this, profile, result, spec,
-                                 lease]() {
-                                    timingStore_->save(
-                                        profile->key,
-                                        arch::TimingFingerprint::of(
-                                            *spec),
-                                        *result);
-                                    if (lease)
-                                        lease->release();
-                                });
-                        } else if (lease) {
-                            lease->release();
-                        }
+                        slot->result =
+                            replayOf(prof_slot->profile, *spec);
                     } catch (...) {
                         slot->error = std::current_exception();
                     }
@@ -825,43 +698,6 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
             const arch::GpuSpec *spec = &specs[si];
             const size_t index = ki * num_specs + si;
             auto sslot = spec_slots[si];
-
-            if (!options_.shareProfiles) {
-                // Reference per-cell pipeline: nothing shared beyond
-                // the spec's calibration state, stores bypassed.
-                graph.add(
-                    "cell:" + kc->name + "@" + spec->name,
-                    [this, kc, spec, sslot, &sweep, index, deliver]() {
-                        bool delivered = false;
-                        try {
-                            if (sslot->calError || sslot->memoError) {
-                                delivered = true;
-                                deliver(index,
-                                        failedCell(
-                                            kc->name, spec->name,
-                                            sslot->calError
-                                                ? sslot->calError
-                                                : sslot->memoError));
-                                return;
-                            }
-                            BatchResult r = evaluateOne(
-                                *kc, *spec, sslot->tables,
-                                sslot->memo, sweep, options_.engine);
-                            delivered = true;
-                            deliver(index, std::move(r));
-                        } catch (...) {
-                            if (!delivered) {
-                                deliver(
-                                    index,
-                                    failedCell(
-                                        kc->name, spec->name,
-                                        std::current_exception()));
-                            }
-                        }
-                    },
-                    {cal_nodes[si], memo_nodes[si]});
-                continue;
-            }
 
             // prepare(case, funcsim fp): the factory runs once per
             // distinct fingerprint; sibling cells reuse the key, the
@@ -957,10 +793,9 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                          pc->sharedBytes,
                                          pc->key.sampleBlocks, *spec);
                     // Profile nodes are keyed by CONTENT, not by
-                    // case: two cases with one profile key must share
-                    // a node, or the second would poll the store
-                    // lease the first holds until its writer node
-                    // runs — which a one-thread pool never reaches.
+                    // case: two cases with one profile key share a
+                    // node instead of one polling the store lease the
+                    // other's node holds.
                     auto prof = ensure_profile(pc->key.str(), kc, spec,
                                                pslot, prep_node);
                     // One timing node per content key: profile
@@ -980,6 +815,7 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                     // fingerprint), falling back to a launch-size
                     // estimate on a cold store.
                     double analyze_cost = 0.0;
+                    bool observed = false;
                     if (costed_ready) {
                         double obs_ms = 0.0;
                         if (timingStore_ &&
@@ -988,6 +824,7 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                 arch::TimingFingerprint::of(*spec),
                                 &obs_ms)) {
                             analyze_cost = obs_ms;
+                            observed = true;
                         } else {
                             sched::CostFeatures feat;
                             feat.warps =
@@ -1010,7 +847,8 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                     graph.add(
                         "analyze:" + kc->name + "@" + spec->name,
                         [this, &graph, kc, spec, sslot, prof_slot,
-                         tslot, pc, &sweep, index, deliver, rkey]() {
+                         tslot, pc, &sweep, index, deliver, rkey,
+                         observed]() {
                             bool delivered = false;
                             const auto a0 =
                                 std::chrono::steady_clock::now();
@@ -1024,30 +862,31 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                     if (tslot->error)
                                         std::rethrow_exception(
                                             tslot->error);
-                                    auto profile = prof_slot->profile;
-                                    analyzeInto(
-                                        r, *spec, sslot->tables,
-                                        sslot->memo, sweep,
-                                        options_.engine,
-                                        [&](model::AnalysisSession
-                                                &session) {
-                                            return session.analyze(
-                                                profile,
+                                    analyzeInto(r, *spec, sslot->tables,
+                                                sslot->memo, sweep,
+                                                options_.engine,
+                                                prof_slot->profile,
                                                 tslot->result);
-                                        });
                                 });
                             if (resultStore_ && r.ok) {
                                 // Writer node: the cell's latency
                                 // ends at delivery, not at the disk.
+                                // A result is deterministic in its
+                                // key, so a valid stored entry
+                                // already says what this one would:
+                                // a warm run re-publishes nothing.
                                 auto copy =
                                     std::make_shared<BatchResult>(r);
                                 graph.add("write-result:" + kc->name,
                                           [this, rkey, copy]() {
-                                              resultStore_->save(
-                                                  rkey, *copy);
+                                              if (!resultStore_->exists(
+                                                      rkey))
+                                                  resultStore_->save(
+                                                      rkey, *copy);
                                           });
                             }
-                            const bool record = r.ok && timingStore_;
+                            const bool record = r.ok && timingStore_ &&
+                                                !observed;
                             delivered = true;
                             deliver(index, std::move(r));
                             // Siblings get the profile from the
@@ -1055,11 +894,14 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                             // of stashed input image buy nothing now.
                             pc->discardLaunch();
                             // Feed the observation side-channel
-                            // AFTER delivery (read-modify-write disk
-                            // I/O never sits on the cell's latency
-                            // path): the next process predicts this
-                            // cell's analyze cost from measured wall
-                            // time instead of launch size.
+                            // AFTER delivery (disk I/O never sits on
+                            // the cell's latency path): the next
+                            // process predicts this cell's analyze
+                            // cost from measured wall time instead of
+                            // launch size. A cell records its first
+                            // observation only; a warm run rewriting
+                            // every entry cost more than the ordering
+                            // it refines.
                             if (record) {
                                 const double analyze_ms =
                                     std::chrono::duration<
@@ -1068,11 +910,12 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                             now() -
                                         a0)
                                         .count();
-                                timingStore_->recordObservationMs(
-                                    pc->key,
-                                    arch::TimingFingerprint::of(
-                                        *spec),
-                                    analyze_ms);
+                                const arch::TimingFingerprint tfp =
+                                    arch::TimingFingerprint::of(*spec);
+                                if (!timingStore_->loadObservationMs(
+                                        pc->key, tfp, nullptr))
+                                    timingStore_->recordObservationMs(
+                                        pc->key, tfp, analyze_ms);
                             }
                             } catch (...) {
                                 if (!delivered) {
@@ -1138,40 +981,6 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
     if (shared->callbackError)
         std::rethrow_exception(shared->callbackError);
     return stats;
-}
-
-std::vector<BatchResult>
-runSerial(const std::vector<KernelCase> &kernels,
-          const std::vector<arch::GpuSpec> &specs,
-          const SweepSpec &sweep)
-{
-    // Share calibration state across the loop exactly like the
-    // runner does: one table set and one benchmark memo per distinct
-    // fingerprint, so duplicate specs don't recalibrate.
-    std::map<std::string, std::pair<TablesPtr, BenchMemoPtr>> shared;
-    std::vector<const std::pair<TablesPtr, BenchMemoPtr> *> per_spec;
-    per_spec.reserve(specs.size());
-    for (const arch::GpuSpec &spec : specs) {
-        auto &entry = shared[spec.fingerprint()];
-        if (!entry.first) {
-            model::AnalysisSession session(spec);
-            entry = {session.shareCalibration(),
-                     std::make_shared<model::GlobalBenchMemo>()};
-        }
-        per_spec.push_back(&entry);
-    }
-
-    std::vector<BatchResult> results;
-    results.reserve(kernels.size() * specs.size());
-    for (const KernelCase &kc : kernels) {
-        for (size_t si = 0; si < specs.size(); ++si) {
-            results.push_back(evaluateOne(kc, specs[si],
-                                          per_spec[si]->first,
-                                          per_spec[si]->second,
-                                          sweep));
-        }
-    }
-    return results;
 }
 
 } // namespace driver

@@ -27,8 +27,8 @@
  *  - one timing(profile key, timing fp) node per needed replay;
  *  - one cell(case, spec) node per batch cell, delivering its result
  *    the moment it finishes;
- *  - dedicated writer nodes for store persistence, so disk I/O never
- *    sits on a cell's latency path.
+ *  - dedicated writer nodes for finished results, so a result's disk
+ *    write never sits on its cell's latency path.
  *
  * No worker ever blocks on an unfinished dependency — a node is
  * scheduled only when its inputs exist, so every worker always runs
@@ -37,13 +37,19 @@
  * With Options::storeDir set, profiles, calibrations, timings and
  * finished results persist on disk, so repeated batch runs skip
  * functional simulation and calibration across process restarts
- * (src/store/).
+ * (src/store/). Calibrations, profiles and timings are computed under
+ * a store lease (store/lease.h) that other runners — in this process
+ * or another — sharing the store wait out instead of duplicating the
+ * work. The lease invariant: a lease is only ever held by a RUNNING
+ * node, which computes, saves and releases it before it returns. A
+ * node waiting on a lease therefore always waits on work that is
+ * making progress, however many requests share the pool.
  *
- * Every evaluation owns its device, session and memory image, so runs
- * are independent and the result of a batch is bit-identical to the
- * equivalent serial per-cell loop regardless of the worker count,
- * profile sharing, store warmth, or delivery mode (run() vs
- * runStream()).
+ * Every evaluation owns its session and analysis state, so the result
+ * of a batch is bit-identical to a serial loop of
+ * model::AnalysisSession::analyze calls (tests/reference_cells.h)
+ * regardless of the worker count, store warmth, or delivery mode
+ * (run() vs runStream()).
  */
 
 #ifndef GPUPERF_DRIVER_BATCH_RUNNER_H
@@ -137,24 +143,6 @@ class BatchRunner
          */
         std::string storeDir;
         /**
-         * Share one functional-simulation profile per (kernel case,
-         * funcsim fingerprint) across spec variants. Off = the
-         * reference per-cell pipeline (each cell re-simulates, and
-         * the profile/result stores are bypassed — profiles are the
-         * store's currency; calibration persistence still applies).
-         * The shared pipeline also memoizes timing replays per
-         * (profile key, timing fingerprint): cells whose specs differ
-         * only in timing-irrelevant fields — and repeated cells whose
-         * result-store keys differ (another sweep grid, another
-         * calibration, a renamed case) — run zero timing
-         * simulations, and with storeDir set the memo persists
-         * through the TimingStore. Results are bit-identical either
-         * way (the replay engines are deterministic functions of
-         * exactly that key). Exists for benchmarking and
-         * differential testing.
-         */
-        bool shareProfiles = true;
-        /**
          * With storeDir set, serve finished cells straight from the
          * result store (skipping timing, extraction, prediction and
          * sweep as well). Results remain bit-identical. Finished
@@ -174,10 +162,10 @@ class BatchRunner
          * Order in which READY task-graph nodes are claimed by pool
          * workers (`?sched=`): kSjf/kFairShare run cheapest-predicted
          * analyze nodes first. Costs come
-         * from the TimingStore's observation side-channel — EWMA wall
-         * times per (profile key, timing fingerprint) recorded by
-         * earlier runs — falling back to a static launch-size
-         * estimate. Changes scheduling only; results stay
+         * from the TimingStore's observation side-channel — the wall
+         * time per (profile key, timing fingerprint) that the first
+         * run of the cell recorded — falling back to a static
+         * launch-size estimate. Changes scheduling only; results stay
          * bit-identical to kFifo.
          */
         sched::SchedPolicy schedPolicy = sched::SchedPolicy::kFifo;
@@ -269,48 +257,6 @@ class BatchRunner
               const SweepSpec &sweep, const ResultCallback &onResult);
 
     /**
-     * The functional-simulation profile of @p kc under @p spec's
-     * funcsim fingerprint: runs the kernel's factory, consults the
-     * profile store when one is configured, and simulates only on a
-     * store miss (then persists the result). Not memoized — run()
-     * deduplicates per batch with a run-local compute-once map, so
-     * one run() never aliases profiles across distinct case lists.
-     */
-    std::shared_ptr<const funcsim::KernelProfile>
-    profileFor(const KernelCase &kc, const arch::GpuSpec &spec);
-
-    /**
-     * Like profileFor() with the profile key already computed (via
-     * profileKeyFor() on the same case and spec): a profile-store hit
-     * is served without running the case's factory at all, and a miss
-     * skips re-hashing the input image.
-     */
-    std::shared_ptr<const funcsim::KernelProfile>
-    profileFor(const KernelCase &kc, const arch::GpuSpec &spec,
-               const funcsim::ProfileKey &key);
-
-    /**
-     * The key profileFor() would compute for @p kc under @p spec:
-     * runs the factory and digests the pristine input image, but
-     * performs no simulation and reads no store. Everything keyed on
-     * the profile — result-store entries, the timing memo — can be
-     * derived from this without touching the profile itself.
-     */
-    funcsim::ProfileKey profileKeyFor(const KernelCase &kc,
-                                      const arch::GpuSpec &spec);
-
-    /**
-     * The timing replay of @p profile under @p spec, memoized per
-     * (profile key, arch::TimingFingerprint) — in memory across the
-     * runner's lifetime and, with a store, on disk across processes.
-     * The first caller replays (or loads); everyone else gets the
-     * bit-identical shared result.
-     */
-    std::shared_ptr<const timing::TimingResult>
-    timingFor(const std::shared_ptr<const funcsim::KernelProfile> &profile,
-              const arch::GpuSpec &spec);
-
-    /**
      * Shared synthetic-benchmark memo for a spec (memoized like
      * calibrations). With a store configured, a fresh memo is
      * pre-seeded from the persisted benchmark results, so a warm
@@ -333,11 +279,9 @@ class BatchRunner
     }
 
     /**
-     * Functional simulations the shared-profile pipeline actually ran
-     * (as opposed to serving from the profile store or another
-     * process's lease-guarded funcsim). The per-cell reference
-     * pipeline (shareProfiles = false) is not counted — it shares
-     * nothing by design.
+     * Functional simulations this runner actually ran (as opposed to
+     * serving from the profile store or another runner's
+     * lease-guarded funcsim).
      */
     uint64_t funcsimsComputed() const
     {
@@ -402,25 +346,20 @@ class BatchRunner
     runCalibration(const arch::GpuSpec &spec);
 
     /**
-     * The timing memo's compute half: serve (profile key, timing fp)
-     * from memory or the timing store, replaying on a full miss —
-     * WITHOUT persisting a fresh replay. @p computed reports whether
-     * this call replayed; the caller owns persistence (timingFor()
-     * saves inline, the batch graph hands it to a writer node). When
-     * this call replayed under a store, @p lease_out carries the
-     * replay's held in-flight lease — the caller releases it AFTER
-     * saving, so waiting processes load the entry instead of
-     * re-replaying.
+     * The timing replay of @p profile under @p spec, memoized per
+     * (profile key, arch::TimingFingerprint) — in memory across the
+     * runner's lifetime and, with a store, on disk across processes.
+     * The first caller replays (or loads) and, with a store, saves
+     * the replay and releases its lease before returning; everyone
+     * else gets the bit-identical shared result.
      */
     std::shared_ptr<const timing::TimingResult>
-    timingCompute(
-        const std::shared_ptr<const funcsim::KernelProfile> &profile,
-        const arch::GpuSpec &spec, bool *computed,
-        std::shared_ptr<store::Lease> *lease_out);
+    replayOf(const std::shared_ptr<const funcsim::KernelProfile> &profile,
+             const arch::GpuSpec &spec);
 
     /**
      * Serve @p key's profile from the store, waiting out another
-     * process's in-flight funcsim via the profile lease. Returns the
+     * runner's in-flight funcsim via the profile lease. Returns the
      * loaded profile, or nullptr when the caller should simulate —
      * in which case *@p lease (when a store is configured) holds the
      * key's lease, to be released after the save. Without a store,
@@ -459,17 +398,6 @@ class BatchRunner
     OnceMap<std::string, std::shared_ptr<const timing::TimingResult>>
         timings_;
 };
-
-/**
- * The serial reference implementation of BatchRunner::run(): same
- * inputs, same result order, one evaluation at a time on the calling
- * thread. Used by tests to pin down batch/serial equivalence and by
- * callers that want no extra threads.
- */
-std::vector<BatchResult>
-runSerial(const std::vector<KernelCase> &kernels,
-          const std::vector<arch::GpuSpec> &specs,
-          const SweepSpec &sweep = SweepSpec{});
 
 } // namespace driver
 } // namespace gpuperf

@@ -30,7 +30,7 @@ struct CalibrationTables; // model/calibration.h
  * field has a sensible default, so callers set only what they mean:
  *
  *     model::SessionConfig cfg;
- *     cfg.engine = timing::ReplayEngine::kAuto;
+ *     cfg.engine = timing::ReplayEngine::kLegacyScan;
  *     model::AnalysisSession session(spec, cfg);
  *
  * SimulatedDevice reads only `engine`; `tables` applies to
@@ -40,9 +40,9 @@ struct CalibrationTables; // model/calibration.h
 struct SessionConfig
 {
     /**
-     * Timing replay engine for the device. kAuto selects per launch;
-     * the engines are bit-identical, so this never changes results —
-     * only the replay loop producing them.
+     * Timing replay engine for the device. The engines are
+     * bit-identical, so this never changes results — only the replay
+     * loop producing them.
      */
     timing::ReplayEngine engine = timing::ReplayEngine::kEventDriven;
 
@@ -111,8 +111,8 @@ class SimulatedDevice
      * may come from any device whose funcsim fingerprint matches this
      * spec; the launch-ceiling checks the functional simulator would
      * have applied are re-validated against THIS spec, so sharing a
-     * profile never hides a configuration error the per-cell pipeline
-     * would have reported.
+     * profile never hides a configuration error this device's own
+     * functional run would have reported.
      */
     Measurement measure(const funcsim::KernelProfile &profile) const;
 

@@ -53,6 +53,14 @@ ResultStore::load(const std::string &key) const
 }
 
 bool
+ResultStore::exists(const std::string &key) const
+{
+    std::string payload;
+    return readStoreEntry(dir_, fileStem("result", key) + ".result",
+                          kFormatVersion, key, &payload);
+}
+
+bool
 ResultStore::save(const std::string &key,
                   const driver::BatchResult &result) const
 {

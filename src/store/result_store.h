@@ -58,6 +58,12 @@ class ResultStore
     std::unique_ptr<driver::BatchResult>
     load(const std::string &key) const;
 
+    /**
+     * True iff a valid entry (version, key echo and checksum) for
+     * @p key is stored. Uncounted: a writer's probe, not a lookup.
+     */
+    bool exists(const std::string &key) const;
+
     /** Persist @p result (callers only pass ok results). */
     bool save(const std::string &key,
               const driver::BatchResult &result) const;

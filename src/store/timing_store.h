@@ -113,7 +113,10 @@ class TimingStore
     // fingerprint once predicts its cost forever after. Advisory and
     // race-tolerant — concurrent writers last-write-win through the
     // atomic entry write, and the EWMA only ever approximates — so no
-    // lease is taken.
+    // lease is taken. BatchRunner records a key's first observation
+    // only: an analyze node's wall time barely moves between runs,
+    // and rewriting every entry on every warm run cost more than the
+    // ordering it refines.
 
     /** Payload format of .obs entries (f64 EWMA ms + u64 count). */
     static constexpr uint32_t kObservationFormatVersion = 1;

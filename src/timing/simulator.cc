@@ -34,27 +34,10 @@ TimingSimulator::TimingSimulator(const arch::GpuSpec &spec,
     spec_.validate();
 }
 
-ReplayEngine
-TimingSimulator::resolveEngine(const funcsim::LaunchTrace &trace) const
-{
-    if (engine_ != ReplayEngine::kAuto)
-        return engine_;
-    if (trace.totalOps() < kAutoMinOps)
-        return ReplayEngine::kLegacyScan;
-    arch::KernelResources res;
-    res.registersPerThread = trace.registersPerThread;
-    res.sharedBytesPerBlock = trace.sharedBytesPerBlock;
-    res.threadsPerBlock = trace.blockDim;
-    const arch::Occupancy occ = arch::computeOccupancy(spec_, res);
-    if (occ.residentWarps < kAutoMinResidentWarps)
-        return ReplayEngine::kLegacyScan;
-    return ReplayEngine::kEventDriven;
-}
-
 TimingResult
 TimingSimulator::run(const funcsim::LaunchTrace &trace) const
 {
-    if (resolveEngine(trace) == ReplayEngine::kLegacyScan)
+    if (engine_ == ReplayEngine::kLegacyScan)
         return detail::replayLegacyScan(spec_, trace);
     return detail::replayEventDriven(spec_, trace);
 }

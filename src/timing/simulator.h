@@ -88,34 +88,12 @@ struct TimingResult
  * default and asymptotically cheaper per issued operation, the legacy
  * scan engine is kept as the reference for differential testing and
  * the bench_timing_replay speedup study.
- *
- * kAuto picks per launch: the event engine's heap/bitmask bookkeeping
- * only pays off when enough warp-level operations amortize it and
- * enough warps are resident per SM for the legacy per-issue scan to
- * hurt; tiny or low-occupancy replays (the ~720-op saxpy that runs at
- * ~0.8x under the event engine) take the legacy scan path. Selection
- * never changes results — the engines are bit-identical — only which
- * replay loop produces them, so kAuto is always safe; the explicit
- * event engine stays the default.
  */
 enum class ReplayEngine
 {
     kEventDriven = 0,
     kLegacyScan = 1,
-    kAuto = 2,
 };
-
-/**
- * kAuto thresholds: the legacy scan engine is selected when a trace
- * replays fewer total warp-level operations than kAutoMinOps, or when
- * fewer warps than kAutoMinResidentWarps are resident per SM (a scan
- * over a handful of live warps is cheaper than maintaining the event
- * engine's per-class heaps). Values chosen from bench_timing_replay:
- * the event engine's 3-4x wins are on >=100k-op, >=16-warp launches,
- * its losses on sub-5k-op low-residency ones.
- */
-constexpr uint64_t kAutoMinOps = 16384;
-constexpr int kAutoMinResidentWarps = 8;
 
 /** The timing simulator. */
 class TimingSimulator
@@ -140,14 +118,6 @@ class TimingSimulator
      * that is the point of sharing one profile across spec variants.
      */
     TimingResult run(const funcsim::KernelProfile &profile) const;
-
-    /**
-     * The engine run() will replay @p trace with: the configured one,
-     * or — under kAuto — the per-launch choice from the trace's total
-     * op count and resident-warp occupancy. Exposed so tests and
-     * benches can pin the selection without timing anything.
-     */
-    ReplayEngine resolveEngine(const funcsim::LaunchTrace &trace) const;
 
     const arch::GpuSpec &spec() const { return spec_; }
     ReplayEngine engine() const { return engine_; }

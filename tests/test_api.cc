@@ -2,8 +2,8 @@
  * @file
  * The unified AnalysisService API: request/response codecs round-trip
  * bit-exactly (binary and JSON, including non-finite doubles and
- * >2^53 counters), the service reproduces the pre-redesign
- * BatchRunner/runSerial results double for double across worker
+ * >2^53 counters), the service reproduces BatchRunner and the serial
+ * reference loop (reference_cells.h) double for double across worker
  * counts and store warmth.
  */
 
@@ -30,6 +30,7 @@
 
 #include "expect_sim_error.h"
 #include "poison_requests.h"
+#include "reference_cells.h"
 #include "scratch_dir.h"
 
 namespace gpuperf {
@@ -221,8 +222,7 @@ TEST(RequestCodecTest, BinaryRoundTripIsExact)
     req.kernels.push_back(inlineSaxpyJob("inline-saxpy"));
     req.store.storeDir = "/tmp/somewhere";
     req.exec.numThreads = 3;
-    req.exec.engine = timing::ReplayEngine::kAuto;
-    req.exec.pipeline = ExecutionPolicy::Pipeline::kPerCell;
+    req.exec.engine = timing::ReplayEngine::kLegacyScan;
     req.exec.delivery = ExecutionPolicy::Delivery::kStream;
 
     const std::string bytes = requestBytes(req);
@@ -231,7 +231,7 @@ TEST(RequestCodecTest, BinaryRoundTripIsExact)
     ASSERT_TRUE(readRequest(r, &back));
     EXPECT_TRUE(r.atEnd());
     EXPECT_EQ(requestBytes(back), requestBytes(req));
-    EXPECT_EQ(back.exec.engine, timing::ReplayEngine::kAuto);
+    EXPECT_EQ(back.exec.engine, timing::ReplayEngine::kLegacyScan);
     EXPECT_EQ(back.kernels.back().inlined->memoryImage,
               req.kernels.back().inlined->memoryImage);
 }
@@ -294,7 +294,8 @@ forgedInlineRequestJson(const std::string &instr_tuple, int regs)
         }
         return std::string("{}");
     }();
-    return "{\"schema\": 3, \"job\": \"forged\", \"kernels\": ["
+    return "{\"schema\": " + std::to_string(kSchemaVersion) +
+           ", \"job\": \"forged\", \"kernels\": ["
            "{\"name\": \"bad\", \"inline\": {\"kernel\": "
            "{\"name\": \"bad\", \"registers\": " +
            std::to_string(regs) +
@@ -313,7 +314,6 @@ forgedInlineRequestJson(const std::string &instr_tuple, int regs)
            "\"store\": {\"dir\": \"\", "
            "\"reuseStoredResults\": true}, \"exec\": "
            "{\"numThreads\": 1, \"engine\": \"event-driven\", "
-           "\"pipeline\": \"shared\", "
            "\"delivery\": \"collect\"}}";
 }
 
@@ -564,19 +564,10 @@ TEST(AnalysisServiceTest, MatchesBatchRunnerAndSerialBitForBit)
     const auto runner_results =
         runner.run(testCases(), base.specs, base.sweep);
 
-    // Pre-redesign reference 2: the serial loop (shares calibration
-    // state per spec like the runner, but single-threaded). It
-    // calibrates for real, so compare it through the runner: the
-    // StreamEqualsRun tests already pin runner == serial with
-    // adopted tables; here adopt the same fakes into a 1-thread
-    // runner as the stand-in.
-    driver::BatchRunner::Options sopts;
-    sopts.numThreads = 1;
-    driver::BatchRunner serial_runner(sopts);
-    for (const auto &spec : base.specs)
-        serial_runner.adoptCalibration(spec, sharedFakeTables());
-    const auto serial_results =
-        serial_runner.run(testCases(), base.specs, base.sweep);
+    // Reference 2: the serial loop (shares calibration state per spec
+    // like the runner, but evaluates every cell on its own session).
+    const auto serial_results = referenceCells(
+        testCases(), base.specs, base.sweep, sharedFakeTables());
 
     const AnalysisResponse want = asResponse(base, runner_results);
     expectEqual(asResponse(base, serial_results), want);
@@ -591,13 +582,6 @@ TEST(AnalysisServiceTest, MatchesBatchRunnerAndSerialBitForBit)
         expectEqual(service.run(req), want);
     }
 
-    // And through the per-cell reference pipeline.
-    AnalysisRequest percell = base;
-    percell.exec.pipeline = ExecutionPolicy::Pipeline::kPerCell;
-    percell.exec.numThreads = 2;
-    AnalysisService service;
-    adoptAll(service, percell);
-    expectEqual(service.run(percell), want);
 }
 
 TEST(AnalysisServiceTest, ColdAndWarmStoreAreBitIdentical)
@@ -833,11 +817,66 @@ TEST(AnalysisServiceTest, DuplicateKernelsCompleteOnOneThreadWithAStore)
     expectEqual(one_thread, runOrAbortAfter(no_store, limit));
 }
 
+TEST(AnalysisServiceTest, ConcurrentStoreRequestsOutnumberingThePool)
+{
+    // More concurrent identical requests than the shared executor has
+    // pool threads, on one store: every profile and timing lease must
+    // be released by the node that took it, so a node polling a lease
+    // always waits on running work. A wedged run can only be broken
+    // by the 15-minute lease staleness, so a missed deadline fails
+    // the test and ends the process at once.
+    struct Shape
+    {
+        int threads;
+        int clients;
+    };
+    for (const Shape shape : {Shape{1, 2}, Shape{2, 4}}) {
+        SCOPED_TRACE(std::to_string(shape.threads) + " threads, " +
+                     std::to_string(shape.clients) + " clients");
+        AnalysisRequest req = testRequest();
+        req.kernels.resize(1);
+        req.specs.resize(1);
+        req.exec.numThreads = shape.threads;
+        const ScratchDir scratch("api-lease-wedge-" +
+                                 std::to_string(shape.threads));
+        req.store.storeDir = scratch.path;
+        AnalysisService service;
+        adoptAll(service, req);
+
+        std::vector<std::future<AnalysisResponse>> clients;
+        for (int i = 0; i < shape.clients; ++i) {
+            clients.push_back(std::async(std::launch::async, [&] {
+                return service.run(req);
+            }));
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        std::vector<AnalysisResponse> got;
+        for (auto &client : clients) {
+            if (client.wait_until(deadline) != std::future_status::ready) {
+                ADD_FAILURE() << "concurrent store-backed requests did "
+                                 "not finish within 30 s";
+                std::fflush(nullptr);
+                std::_Exit(1);
+            }
+            got.push_back(client.get());
+        }
+        for (const AnalysisResponse &resp : got) {
+            ASSERT_EQ(resp.cells.size(), 1u);
+            EXPECT_TRUE(resp.cells[0].ok) << resp.cells[0].error;
+            expectEqual(resp, got[0]);
+        }
+        const driver::BatchRunner &executor = service.executorFor(req);
+        EXPECT_EQ(executor.funcsimsComputed(), 1u);
+        EXPECT_EQ(executor.timingsComputed(), 1u);
+    }
+}
+
 TEST(AnalysisServiceTest, SharedProfilesKeepPerSpecLaunchCeilings)
 {
     // Two specs with one funcsim fingerprint, differing only in the
-    // block ceiling: the shared pipeline must fail exactly the cell
-    // the per-cell pipeline fails, whichever spec comes first.
+    // block ceiling: the shared task graph must fail exactly the cell
+    // the serial reference fails, whichever spec comes first.
     arch::GpuSpec small = arch::GpuSpec::gtx285();
     small.name = "tpb-256";
     small.maxThreadsPerBlock = 256;
@@ -855,10 +894,11 @@ TEST(AnalysisServiceTest, SharedProfilesKeepPerSpecLaunchCeilings)
         << shared.cells[0].error;
     EXPECT_TRUE(shared.cells[1].ok) << shared.cells[1].error;
 
-    AnalysisRequest percell = req;
-    percell.exec.pipeline = ExecutionPolicy::Pipeline::kPerCell;
-    adoptAll(service, percell);
-    expectEqual(shared, service.run(percell));
+    const std::vector<driver::KernelCase> cases = {
+        materializeJob(req.kernels[0])};
+    expectEqual(shared,
+                asResponse(req, referenceCells(cases, req.specs, req.sweep,
+                                               sharedFakeTables())));
 }
 
 } // namespace

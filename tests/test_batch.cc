@@ -3,7 +3,8 @@
  * Batch-analysis driver tests: sweep grids rank what-if results best
  * speedup first (including the paper's "CR padding is worth it"
  * decision), and BatchRunner produces results identical to the serial
- * loop, deterministically, for any worker count.
+ * reference loop (reference_cells.h), deterministically, for any
+ * worker count.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "driver/demo_cases.h"
 #include "store/profile_store.h"
 
+#include "reference_cells.h"
 #include "scratch_dir.h"
 
 namespace gpuperf {
@@ -67,33 +69,6 @@ crLikeInput()
     s.activeWarpsPerSm = 16;
     input.stages.push_back(s);
     return input;
-}
-
-/** The hand-written serial loop the batch must reproduce exactly. */
-std::vector<BatchResult>
-serialReference(const std::vector<KernelCase> &kernels,
-                const std::vector<arch::GpuSpec> &specs,
-                const SweepSpec &sweep)
-{
-    std::vector<BatchResult> results;
-    for (const KernelCase &kc : kernels) {
-        for (const arch::GpuSpec &spec : specs) {
-            BatchResult r;
-            r.kernelName = kc.name;
-            r.specName = spec.name;
-            model::AnalysisSession session(spec);
-            session.adoptCalibration(sharedFakeTables());
-            PreparedLaunch launch = kc.make();
-            r.analysis = session.analyze(launch.kernel, launch.cfg,
-                                         *launch.gmem, launch.options);
-            if (!sweep.empty())
-                r.whatifs = runSweep(session.model(),
-                                     r.analysis.input, sweep);
-            r.ok = true;
-            results.push_back(std::move(r));
-        }
-    }
-    return results;
 }
 
 void
@@ -254,8 +229,14 @@ TEST_F(BatchRunnerTest, MatchesTheSerialLoopExactly)
 {
     auto runner = makeRunner(4);
     const auto got = runner->run(kernels_, specs_, sweep_);
-    const auto want = serialReference(kernels_, specs_, sweep_);
+    const auto want =
+        referenceCells(kernels_, specs_, sweep_, sharedFakeTables());
     expectSameResults(got, want);
+    // The reference itself is order- and pool-independent.
+    ThreadPool pool(3);
+    expectSameResults(referenceCells(kernels_, specs_, sweep_,
+                                     sharedFakeTables(), &pool),
+                      want);
     // Kernel-major order: kernels[0] on every spec first.
     ASSERT_EQ(got.size(), 4u);
     EXPECT_EQ(got[0].kernelName, "saxpy-small");
@@ -374,7 +355,8 @@ TEST(DemoCaseTest, ConflictedSharedKernelRanksConflictRemovalFirst)
 
 TEST_F(BatchRunnerTest, StreamEqualsRunEqualsSerialBitForBit)
 {
-    const auto serial = serialReference(kernels_, specs_, sweep_);
+    const auto serial =
+        referenceCells(kernels_, specs_, sweep_, sharedFakeTables());
     for (int threads : {1, 2, 4, 8}) {
         SCOPED_TRACE("threads = " + std::to_string(threads));
         auto runner = makeRunner(threads);
@@ -406,7 +388,8 @@ TEST_F(BatchRunnerTest, StreamIsBitIdenticalColdAndWarmStore)
 {
     const ScratchDir scratch("stream");
     const std::string &dir = scratch.path;
-    const auto serial = serialReference(kernels_, specs_, sweep_);
+    const auto serial =
+        referenceCells(kernels_, specs_, sweep_, sharedFakeTables());
 
     auto make_store_runner = [&]() {
         BatchRunner::Options opts;
@@ -427,7 +410,7 @@ TEST_F(BatchRunnerTest, StreamIsBitIdenticalColdAndWarmStore)
         return out;
     };
 
-    // Cold: simulates and fills the store through writer nodes.
+    // Cold: simulates and fills the store.
     auto cold_runner = make_store_runner();
     const auto cold = collect(*cold_runner);
     expectSameResults(cold, serial);
@@ -665,32 +648,6 @@ TEST(DemoCaseTest, HistogramAnalyzesInABatch)
     ASSERT_TRUE(results[0].ok) << results[0].error;
     EXPECT_GT(results[0].analysis.predictedMs(), 0.0);
     EXPECT_GT(results[0].analysis.measuredMs(), 0.0);
-}
-
-TEST(BatchSerialApiTest, RunSerialKeepsKernelMajorOrder)
-{
-    // runSerial() calibrates for real; shrink the machine so the
-    // microbenchmark sweep stays cheap while still covering the
-    // public serial entry point end to end.
-    arch::GpuSpec tiny = arch::GpuSpec::gtx285();
-    tiny.name = "GTX tiny";
-    tiny.numSms = 3;
-    tiny.maxWarpsPerSm = 8;
-    tiny.maxThreadsPerSm = 256;
-    tiny.maxThreadsPerBlock = 256;
-    tiny.validate();
-
-    std::vector<KernelCase> kernels;
-    kernels.push_back(makeSaxpyCase("saxpy", 4, 128, 2.0f));
-    std::vector<arch::GpuSpec> specs = {tiny};
-    SweepSpec sweep;
-    sweep.noBankConflicts = true;
-    const auto results = runSerial(kernels, specs, sweep);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_EQ(results[0].kernelName, "saxpy");
-    ASSERT_EQ(results[0].whatifs.size(), 1u);
-    EXPECT_GE(results[0].bestSpeedup(), 1.0);
 }
 
 } // namespace

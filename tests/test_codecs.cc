@@ -93,8 +93,8 @@ inlineJob()
                                       std::move(launch));
 }
 
-/** Three requests: together they use every engine, pipeline and
- *  delivery value. */
+/** Three requests: together they use every engine and delivery
+ *  value. */
 std::vector<api::AnalysisRequest>
 fixtureRequests()
 {
@@ -121,9 +121,7 @@ fixtureRequests()
         req.store.storeDir = "/var/store-" + std::to_string(i);
         req.store.reuseStoredResults = i != 1;
         req.exec.numThreads = static_cast<int>(i) * 3;
-        req.exec.engine = static_cast<timing::ReplayEngine>(i);
-        req.exec.pipeline = i == 1 ? ExecutionPolicy::Pipeline::kPerCell
-                                   : ExecutionPolicy::Pipeline::kShared;
+        req.exec.engine = static_cast<timing::ReplayEngine>(i % 2);
         req.exec.delivery = i == 0 ? ExecutionPolicy::Delivery::kCollect
                                    : ExecutionPolicy::Delivery::kStream;
     }
@@ -351,6 +349,9 @@ binaryHash(Write write)
 // A pin changes only together with a kSchemaVersion (wire) or
 // kFormatVersion (store) bump: every file written before must still
 // decode to the same values.
+//
+// The request and response pins were last moved by schema 4, which
+// dropped exec.pipeline and the "auto" engine.
 
 TEST(CodecGolden, RequestBytesArePinned)
 {
@@ -364,8 +365,8 @@ TEST(CodecGolden, RequestBytesArePinned)
     }
     const uint64_t bin_hash = fnv1a64(bin);
     const uint64_t json_hash = fnv1a64(json);
-    EXPECT_EQ(bin_hash, 0xa6f0f98769d09852ull) << std::hex << bin_hash;
-    EXPECT_EQ(json_hash, 0x62aea3cc842c3818ull) << std::hex << json_hash;
+    EXPECT_EQ(bin_hash, 0x9c723ee403dc1436ull) << std::hex << bin_hash;
+    EXPECT_EQ(json_hash, 0xe40dbed5a9a78a4bull) << std::hex << json_hash;
 }
 
 TEST(CodecGolden, ResponseBytesArePinned)
@@ -374,8 +375,8 @@ TEST(CodecGolden, ResponseBytesArePinned)
     const uint64_t bin = binaryHash(
         [&](store::ByteWriter &w) { api::writeResponse(w, resp); });
     const uint64_t json = fnv1a64(api::responseToJson(resp));
-    EXPECT_EQ(bin, 0xe2d63c975ed884ddull) << std::hex << bin;
-    EXPECT_EQ(json, 0x6274c5bd199f7893ull) << std::hex << json;
+    EXPECT_EQ(bin, 0x0ae5b18fa448af46ull) << std::hex << bin;
+    EXPECT_EQ(json, 0x486ea9cf3845acfeull) << std::hex << json;
 }
 
 TEST(CodecGolden, StoreEntryBytesArePinned)
@@ -454,6 +455,41 @@ TEST(CodecGolden, FixtureRoundTripsThroughEveryReader)
     EXPECT_TRUE(tr.atEnd());
     EXPECT_EQ(store::tablesDigest(tables_back),
               store::tablesDigest(fixtureTables()));
+}
+
+TEST(CodecGolden, RetiredEngineValueIsRejected)
+{
+    // Schema 4 dropped the per-launch "auto" engine: JSON names it as
+    // unknown, and its binary value 2 is out of range.
+    api::AnalysisRequest req = fixtureRequests()[0];
+    req.exec.engine = timing::ReplayEngine::kLegacyScan;
+    std::string json = api::requestToJson(req);
+    const std::string named = "\"engine\": \"legacy-scan\"";
+    const size_t at = json.find(named);
+    ASSERT_NE(at, std::string::npos) << json;
+    json.replace(at, named.size(), "\"engine\": \"auto\"");
+    api::AnalysisRequest back;
+    std::string error;
+    EXPECT_FALSE(api::requestFromJson(json, &back, &error));
+    EXPECT_NE(error.find("unknown engine 'auto'"), std::string::npos)
+        << error;
+
+    // The exec policy closes the request: numThreads (i32), then the
+    // engine and delivery bytes.
+    store::ByteWriter w;
+    api::writeRequest(w, req);
+    std::string bytes = w.bytes();
+    ASSERT_GE(bytes.size(), 2u);
+    const size_t engine_at = bytes.size() - 2;
+    ASSERT_EQ(bytes[engine_at], 1) << "legacy-scan";
+    {
+        store::ByteReader r(bytes);
+        ASSERT_TRUE(api::readRequest(r, &back));
+        EXPECT_EQ(back.exec.engine, timing::ReplayEngine::kLegacyScan);
+    }
+    bytes[engine_at] = 2;
+    store::ByteReader r(bytes);
+    EXPECT_FALSE(api::readRequest(r, &back));
 }
 
 /** Changes the field at index @p target of a field list, and counts. */

@@ -31,6 +31,7 @@
 #include "store/serializer.h"
 
 #include "poison_requests.h"
+#include "scratch_dir.h"
 
 namespace gpuperf {
 namespace api {
@@ -39,11 +40,12 @@ namespace {
 std::string
 freshSocketPath(const std::string &tag)
 {
+    // One directory for the process's sockets, removed at exit; a
+    // killed run's directory goes when the next run starts.
+    static const ScratchDir sockets("fleet");
     static int counter = 0;
-    // Keep it short: sun_path caps out around 100 bytes.
-    return "/tmp/gpuperf-fleet-" + tag + "-" +
-           std::to_string(::getpid()) + "-" +
-           std::to_string(counter++) + ".sock";
+    return sockets.socketPath(tag + "-" + std::to_string(counter++) +
+                              ".sock");
 }
 
 model::CalibrationTables

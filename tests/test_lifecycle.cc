@@ -563,8 +563,8 @@ TEST(StoreStats, ServerTakesItsSettingsFromTheFirstEndpoint)
     // max-cells=1 quota does not apply.
     const ScratchDir scratch("lc-first-endpoint");
     const std::string &root = scratch.path;
-    const std::string sock = "/tmp/gpuperf-lc-" +
-                             std::to_string(::getpid()) + ".sock";
+    const ScratchDir sockets("lc-first-endpoint-sock");
+    const std::string sock = sockets.socketPath("serve.sock");
     api::Server server(std::vector<api::Endpoint>{
         api::Endpoint::parse("unix:" + sock + "?store=" + root +
                                  "&gc-bytes=1&gc-interval=0.05",

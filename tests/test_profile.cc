@@ -17,6 +17,7 @@
 #include "isa/builder.h"
 #include "model/session.h"
 #include "expect_sim_error.h"
+#include "reference_cells.h"
 
 namespace gpuperf {
 namespace {
@@ -174,7 +175,7 @@ TEST(KernelProfile, ReuseAcrossSpecVariantsIsBitIdentical)
         base.profile(launch.kernel, launch.cfg, *launch.gmem);
 
     // ...consumed by sessions for funcsim-equivalent variants must
-    // match those variants' own full per-cell pipeline bit for bit.
+    // match those variants' own full per-cell analysis bit for bit.
     for (const arch::GpuSpec &spec :
          {arch::GpuSpec::gtx285(), arch::GpuSpec::gtx285MoreBlocks(),
           arch::GpuSpec::gtx285BigResources()}) {
@@ -192,7 +193,7 @@ TEST(KernelProfile, ReuseAcrossSpecVariantsIsBitIdentical)
     }
 }
 
-TEST(KernelProfile, BatchSharingMatchesPerCellPipelineExactly)
+TEST(KernelProfile, BatchSharingMatchesPerCellReferenceExactly)
 {
     std::vector<driver::KernelCase> kernels;
     kernels.push_back(driver::makeSaxpyCase("saxpy", 8, 128, 2.0f));
@@ -206,17 +207,17 @@ TEST(KernelProfile, BatchSharingMatchesPerCellPipelineExactly)
     sweep.noBankConflicts = true;
     sweep.warpsPerSm = {8.0, 32.0};
 
-    auto run = [&](bool share) {
-        driver::BatchRunner::Options opts;
-        opts.numThreads = 4;
-        opts.shareProfiles = share;
-        driver::BatchRunner runner(opts);
-        for (const auto &spec : specs)
-            runner.adoptCalibration(spec, sharedFakeTables());
-        return runner.run(kernels, specs, sweep);
-    };
-    const auto shared_results = run(true);
-    const auto percell_results = run(false);
+    driver::BatchRunner::Options opts;
+    opts.numThreads = 4;
+    driver::BatchRunner runner(opts);
+    for (const auto &spec : specs)
+        runner.adoptCalibration(spec, sharedFakeTables());
+    const auto shared_results = runner.run(kernels, specs, sweep);
+    EXPECT_EQ(runner.funcsimsComputed(), 3u + 3u)
+        << "one funcsim per kernel and funcsim fingerprint";
+    ThreadPool pool(4);
+    const auto percell_results = referenceCells(
+        kernels, specs, sweep, sharedFakeTables(), &pool);
 
     ASSERT_EQ(shared_results.size(), percell_results.size());
     for (size_t i = 0; i < shared_results.size(); ++i) {

@@ -32,6 +32,7 @@
 #include "store/serializer.h"
 
 #include "poison_requests.h"
+#include "scratch_dir.h"
 
 namespace gpuperf {
 namespace api {
@@ -40,11 +41,12 @@ namespace {
 std::string
 freshSocketPath(const std::string &tag)
 {
+    // One directory for the process's sockets, removed at exit; a
+    // killed run's directory goes when the next run starts.
+    static const ScratchDir sockets("serve");
     static int counter = 0;
-    // Keep it short: sun_path caps out around 100 bytes.
-    return "/tmp/gpuperf-serve-" + tag + "-" +
-           std::to_string(::getpid()) + "-" +
-           std::to_string(counter++) + ".sock";
+    return sockets.socketPath(tag + "-" + std::to_string(counter++) +
+                              ".sock");
 }
 
 model::CalibrationTables

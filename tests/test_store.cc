@@ -31,6 +31,7 @@
 #include "store/serializer.h"
 #include "store/timing_store.h"
 
+#include "reference_cells.h"
 #include "scratch_dir.h"
 
 namespace gpuperf {
@@ -297,38 +298,6 @@ TEST(ProfileStore, ReadKeyValidatesWithoutDeserializing)
     EXPECT_FALSE(ps.readKey(profile->key));
 }
 
-TEST(ProfileStore, KeyedProfileForServesStoreHitsWithoutTheFactory)
-{
-    // The public key-only pair: profileKeyFor() derives the identity
-    // (one factory run, no simulation), profileFor(kc, spec, key)
-    // then serves a store hit without re-running the factory.
-    const ScratchDir scratch("keyed-profile-for");
-    const std::string &dir = scratch.path;
-    driver::BatchRunner::Options opts;
-    opts.storeDir = dir;
-    driver::BatchRunner runner(opts);
-    auto kc = driver::makeSaxpyCase("saxpy", 4, 128, 2.0f);
-    const arch::GpuSpec spec = arch::GpuSpec::gtx285();
-
-    const funcsim::ProfileKey key = runner.profileKeyFor(kc, spec);
-    EXPECT_FALSE(runner.profileStore()->readKey(key));
-    auto built = runner.profileFor(kc, spec, key);
-    ASSERT_NE(built, nullptr);
-    EXPECT_EQ(built->key, key);
-    EXPECT_TRUE(runner.profileStore()->readKey(key));
-
-    // Second call: served from the store. A factory-free hit is
-    // observable through a poisoned factory.
-    driver::KernelCase poisoned = kc;
-    poisoned.make = []() -> driver::PreparedLaunch {
-        throw std::runtime_error("factory must not run on a hit");
-    };
-    auto loaded = runner.profileFor(poisoned, spec, key);
-    ASSERT_NE(loaded, nullptr);
-    EXPECT_EQ(loaded->key, key);
-    EXPECT_EQ(runner.profileStore()->hits(), 1u);
-}
-
 TEST(TimingStore, RoundTripsReplaysBitExactlyPerFingerprint)
 {
     auto kc = driver::makeStencil1dCase("stencil", 8, 128);
@@ -459,7 +428,7 @@ TEST_F(WarmStoreTest, WarmResultCellsTakeTheKeyOnlyPath)
     const auto cold_results = cold->run(kernels_, specs_, sweep_);
 
     // Every cell is served from the result store, and the result key
-    // is derived from profileKeyFor() alone: the profile files are
+    // is derived from the profile key alone: the profile files are
     // never opened, let alone deserialized.
     auto warm = makeRunner(dir);
     const auto warm_results = warm->run(kernels_, specs_, sweep_);
@@ -471,6 +440,47 @@ TEST_F(WarmStoreTest, WarmResultCellsTakeTheKeyOnlyPath)
     EXPECT_EQ(warm->profileStore()->misses(), 0u);
     EXPECT_EQ(warm->timingStore()->hits(), 0u)
         << "warm result cells skip the timing memo too";
+}
+
+TEST_F(WarmStoreTest, WarmRunsRepublishOnlyInvalidEntries)
+{
+    const ScratchDir scratch("warm-republish");
+    const std::string &dir = scratch.path;
+    const size_t cells = kernels_.size() * specs_.size();
+    const auto cold_results = makeRunner(dir)->run(kernels_, specs_, sweep_);
+    std::vector<std::filesystem::path> entries;
+    for (const auto &e : std::filesystem::directory_iterator(dir + "/results"))
+        entries.push_back(e.path());
+    ASSERT_EQ(entries.size(), cells);
+
+    // Result reuse off: every cell recomputes, but a result is
+    // deterministic in its key and every cell already has a cost
+    // observation, so the run writes nothing at all.
+    auto rerun = makeRunner(dir, false);
+    expectSame(rerun->run(kernels_, specs_, sweep_), cold_results);
+    const store::StoreLayerStats quiet = rerun->storeStats();
+    EXPECT_EQ(quiet.results.writes, 0u);
+    EXPECT_EQ(quiet.timings.writes, 0u) << "no .obs entry rewritten";
+    EXPECT_EQ(quiet.total().writes, 0u);
+
+    // A stored result whose payload no longer matches its checksum is
+    // not valid: the next recomputing run replaces it.
+    {
+        std::fstream f(entries[0], std::ios::in | std::ios::out |
+                                       std::ios::binary);
+        const auto size = std::filesystem::file_size(entries[0]);
+        f.seekg(static_cast<std::streamoff>(size) - 20);
+        const char byte = static_cast<char>(f.get());
+        f.seekp(static_cast<std::streamoff>(size) - 20);
+        f.put(static_cast<char>(byte ^ 0x5a));
+    }
+    auto healer = makeRunner(dir, false);
+    expectSame(healer->run(kernels_, specs_, sweep_), cold_results);
+    EXPECT_EQ(healer->storeStats().results.writes, 1u);
+
+    auto warm = makeRunner(dir);
+    expectSame(warm->run(kernels_, specs_, sweep_), cold_results);
+    EXPECT_EQ(warm->resultStore()->hits(), cells);
 }
 
 TEST_F(WarmStoreTest, TimingMemoPersistsAcrossProcesses)
@@ -532,11 +542,8 @@ TEST_F(WarmStoreTest, SyntheticBenchResultsPersistAcrossRunners)
 
 TEST_F(WarmStoreTest, SerialReferenceMatchesStoreServedResults)
 {
-    // The acceptance bar: store-served batches equal the per-cell
-    // serial pipeline bit for bit. runSerial calibrates for real, so
-    // compare against a per-cell BatchRunner with the same fake
-    // tables instead (itself pinned to runSerial's loop in
-    // test_batch.cc).
+    // The acceptance bar: store-served batches equal the serial
+    // reference loop bit for bit, with the same fake tables.
     const ScratchDir scratch("store-vs-serial");
     const std::string &dir = scratch.path;
     auto cold = makeRunner(dir);
@@ -544,13 +551,8 @@ TEST_F(WarmStoreTest, SerialReferenceMatchesStoreServedResults)
     auto warm = makeRunner(dir);
     const auto warm_results = warm->run(kernels_, specs_, sweep_);
 
-    driver::BatchRunner::Options percell;
-    percell.numThreads = 1;
-    percell.shareProfiles = false;
-    driver::BatchRunner reference(percell);
-    for (const auto &spec : specs_)
-        reference.adoptCalibration(spec, sharedFakeTables());
-    const auto want = reference.run(kernels_, specs_, sweep_);
+    const auto want =
+        referenceCells(kernels_, specs_, sweep_, sharedFakeTables());
     expectSame(warm_results, want);
 }
 
@@ -867,8 +869,11 @@ TEST(StoreCounters, CountsOneLookupPerProfileAndTiming)
     // re-check sees when another process published first).
     store::ProfileStore profiles(dir + "/profiles");
     store::TimingStore timings(dir + "/timing");
-    const funcsim::ProfileKey key =
-        driver::BatchRunner(opts).profileKeyFor(kernels[0], tiny);
+    driver::PreparedLaunch launch = kernels[0].make();
+    funcsim::RunOptions profiled = launch.options;
+    profiled.collectTrace = true;
+    const funcsim::ProfileKey key = funcsim::makeProfileKey(
+        launch.kernel, launch.cfg, profiled, tiny, *launch.gmem);
     EXPECT_TRUE(profiles.readKey(key));
     EXPECT_TRUE(timings.exists(key, arch::TimingFingerprint::of(tiny)));
     const store::StoreStats probed_profiles = profiles.stats();
@@ -972,80 +977,110 @@ TEST(TimingLease, KeyedByProfileKeyAndTimingFingerprint)
     EXPECT_FALSE(store.leaseHeld(key, fp));
 }
 
-TEST(ProfileLease, ConcurrentRunnersSplitTheFuncsim)
+/**
+ * Runners sharing one storeDir — stand-ins for sharded processes —
+ * each with one worker thread and adopted tables, so the store leases
+ * are the only thing that can split the work between them.
+ */
+std::unique_ptr<driver::BatchRunner>
+leaseRunner(const std::string &dir, const std::vector<arch::GpuSpec> &specs,
+            bool reuse_results = true)
 {
-    // Two runners sharing one storeDir — stand-ins for two sharded
-    // processes — profile the same case concurrently: the lease must
-    // hand the functional simulation to exactly one of them, the
-    // other waits and loads the published entry. Pinned on the
-    // runners' funcsimsComputed counter, not on timing.
-    const ScratchDir scratch("profile-lease-split");
-    const std::string &dir = scratch.path;
-    const arch::GpuSpec spec = arch::GpuSpec::gtx285();
-    const auto kc = driver::makeSaxpyCase("lease-saxpy", 8, 128, 2.0f);
-
     driver::BatchRunner::Options opts;
     opts.numThreads = 1;
     opts.storeDir = dir;
-    driver::BatchRunner first(opts);
-    driver::BatchRunner second(opts);
+    opts.reuseStoredResults = reuse_results;
+    auto runner = std::make_unique<driver::BatchRunner>(opts);
+    for (const auto &spec : specs)
+        runner->adoptCalibration(spec, sharedFakeTables());
+    return runner;
+}
 
-    std::shared_ptr<const funcsim::KernelProfile> pa, pb;
-    std::thread t1([&]() { pa = first.profileFor(kc, spec); });
-    std::thread t2([&]() { pb = second.profileFor(kc, spec); });
+/** Two runners race run(@p kc, @p spec); returns both results. */
+std::pair<driver::BatchResult, driver::BatchResult>
+raceRuns(driver::BatchRunner &first, driver::BatchRunner &second,
+         const driver::KernelCase &kc, const arch::GpuSpec &spec)
+{
+    std::vector<driver::BatchResult> ra, rb;
+    std::thread t1([&]() { ra = first.run({kc}, {spec}); });
+    std::thread t2([&]() { rb = second.run({kc}, {spec}); });
     t1.join();
     t2.join();
+    EXPECT_EQ(ra.size(), 1u);
+    EXPECT_EQ(rb.size(), 1u);
+    return {ra.at(0), rb.at(0)};
+}
 
-    ASSERT_NE(pa, nullptr);
-    ASSERT_NE(pb, nullptr);
-    EXPECT_EQ(pa->key, pb->key);
-    EXPECT_EQ(first.funcsimsComputed() + second.funcsimsComputed(),
-              1u)
+TEST(ProfileLease, ConcurrentRunnersSplitTheFuncsim)
+{
+    // Two runners profile the same case concurrently: the lease must
+    // hand the functional simulation (and the replay) to exactly one
+    // of them; the other waits and loads the published entries.
+    // Pinned on the runners' counters, not on timing.
+    const ScratchDir scratch("profile-lease-split");
+    const arch::GpuSpec spec = arch::GpuSpec::gtx285();
+    const auto kc = driver::makeSaxpyCase("lease-saxpy", 8, 128, 2.0f);
+
+    auto first = leaseRunner(scratch.path, {spec});
+    auto second = leaseRunner(scratch.path, {spec});
+    const auto [a, b] = raceRuns(*first, *second, kc, spec);
+    ASSERT_TRUE(a.ok) << a.error;
+    ASSERT_TRUE(b.ok) << b.error;
+    EXPECT_EQ(a.analysis.measuredMs(), b.analysis.measuredMs());
+    EXPECT_EQ(a.analysis.predictedMs(), b.analysis.predictedMs());
+    EXPECT_EQ(first->funcsimsComputed() + second->funcsimsComputed(), 1u)
         << "the funcsim must run at most once between the runners";
+    EXPECT_EQ(first->timingsComputed() + second->timingsComputed(), 1u)
+        << "the replay must run at most once between the runners";
 
-    // A third, later runner starts fully warm.
-    driver::BatchRunner third(opts);
-    auto pc = third.profileFor(kc, spec);
-    ASSERT_NE(pc, nullptr);
-    EXPECT_EQ(third.funcsimsComputed(), 0u);
+    // A third, later runner starts fully warm, even without the
+    // result store: profile and replay both load.
+    auto third = leaseRunner(scratch.path, {spec}, false);
+    const auto c = third->run({kc}, {spec});
+    ASSERT_TRUE(c.at(0).ok) << c.at(0).error;
+    EXPECT_EQ(third->funcsimsComputed(), 0u);
+    EXPECT_EQ(third->timingsComputed(), 0u);
+    EXPECT_EQ(c.at(0).analysis.predictedMs(), a.analysis.predictedMs());
 }
 
 TEST(TimingLease, ConcurrentRunnersSplitTheReplay)
 {
+    // The profile is already published; two runners then race a spec
+    // with the same funcsim fingerprint but another timing
+    // fingerprint, so the replay lease alone splits the work.
     const ScratchDir scratch("timing-lease-split");
-    const std::string &dir = scratch.path;
-    const arch::GpuSpec spec = arch::GpuSpec::gtx285();
+    const arch::GpuSpec base = arch::GpuSpec::gtx285();
+    const arch::GpuSpec variant = arch::GpuSpec::gtx285MoreBlocks();
+    ASSERT_TRUE(arch::FuncsimFingerprint::of(base) ==
+                arch::FuncsimFingerprint::of(variant));
+    ASSERT_TRUE(arch::TimingFingerprint::of(base) !=
+                arch::TimingFingerprint::of(variant));
     const auto kc = driver::makeSaxpyCase("lease-saxpy-t", 8, 128,
                                           2.0f);
+    auto warmup = leaseRunner(scratch.path, {base});
+    ASSERT_TRUE(warmup->run({kc}, {base}).at(0).ok);
+    ASSERT_EQ(warmup->funcsimsComputed(), 1u);
 
-    driver::BatchRunner::Options opts;
-    opts.numThreads = 1;
-    opts.storeDir = dir;
-    driver::BatchRunner first(opts);
-    driver::BatchRunner second(opts);
-    const auto profile = first.profileFor(kc, spec);
-    ASSERT_NE(profile, nullptr);
-
-    std::shared_ptr<const timing::TimingResult> ta, tb;
-    std::thread t1([&]() { ta = first.timingFor(profile, spec); });
-    std::thread t2([&]() { tb = second.timingFor(profile, spec); });
-    t1.join();
-    t2.join();
-
-    ASSERT_NE(ta, nullptr);
-    ASSERT_NE(tb, nullptr);
-    // Both sides produced the identical replay (bit-exact seconds),
-    // and at most one of them actually ran it.
-    EXPECT_EQ(ta->seconds, tb->seconds);
-    EXPECT_EQ(ta->cycles, tb->cycles);
-    EXPECT_EQ(first.timingsComputed() + second.timingsComputed(), 1u)
+    auto first = leaseRunner(scratch.path, {variant});
+    auto second = leaseRunner(scratch.path, {variant});
+    const auto [a, b] = raceRuns(*first, *second, kc, variant);
+    ASSERT_TRUE(a.ok) << a.error;
+    ASSERT_TRUE(b.ok) << b.error;
+    // Both sides produced the identical replay (bit-exact), and at
+    // most one of them actually ran it.
+    EXPECT_TRUE(a.analysis.measurement.timing ==
+                b.analysis.measurement.timing);
+    EXPECT_EQ(first->funcsimsComputed() + second->funcsimsComputed(), 0u);
+    EXPECT_EQ(first->timingsComputed() + second->timingsComputed(), 1u)
         << "the replay must run at most once between the runners";
 
-    driver::BatchRunner third(opts);
-    auto tc = third.timingFor(profile, spec);
-    ASSERT_NE(tc, nullptr);
-    EXPECT_EQ(third.timingsComputed(), 0u);
-    EXPECT_EQ(tc->seconds, ta->seconds);
+    auto third = leaseRunner(scratch.path, {variant}, false);
+    const auto c = third->run({kc}, {variant});
+    ASSERT_TRUE(c.at(0).ok) << c.at(0).error;
+    EXPECT_EQ(third->funcsimsComputed(), 0u);
+    EXPECT_EQ(third->timingsComputed(), 0u);
+    EXPECT_TRUE(c.at(0).analysis.measurement.timing ==
+                a.analysis.measurement.timing);
 }
 
 } // namespace

@@ -28,6 +28,8 @@
 #include "funcsim/profile.h"
 #include "timing/simulator.h"
 
+#include "reference_cells.h"
+
 namespace gpuperf {
 namespace timing {
 namespace {
@@ -263,8 +265,8 @@ TEST(TimingMemo, SharedTimingServesBitIdenticalCells)
     // Two specs that differ only in a timing-irrelevant way (the
     // name) share both the profile AND the timing replay; a spec with
     // different timing fields shares only the profile. Either way the
-    // results must equal the per-cell pipeline (which shares nothing)
-    // exactly.
+    // results must equal the serial reference (which shares nothing
+    // but calibration state) exactly.
     std::vector<KernelCase> cases = {
         driver::makeStencil1dCase("stencil1d", 16, 256),
         driver::makeSpmvEllCase("spmv-ell", 96, 7)};
@@ -281,17 +283,12 @@ TEST(TimingMemo, SharedTimingServesBitIdenticalCells)
     const auto tables = sharedFakeTables();
     driver::BatchRunner::Options with;
     with.numThreads = 2;
-    driver::BatchRunner::Options per_cell;
-    per_cell.numThreads = 2;
-    per_cell.shareProfiles = false;
     driver::BatchRunner memo_runner(with);
-    driver::BatchRunner plain_runner(per_cell);
-    for (const auto &s : specs) {
+    for (const auto &s : specs)
         memo_runner.adoptCalibration(s, tables);
-        plain_runner.adoptCalibration(s, tables);
-    }
     auto memoized = memo_runner.run(cases, specs);
-    auto plain = plain_runner.run(cases, specs);
+    auto plain =
+        referenceCells(cases, specs, driver::SweepSpec{}, tables);
     EXPECT_EQ(memo_runner.timingsComputed(), 4u)
         << "the renamed spec must reuse its twin's replays";
     ASSERT_EQ(memoized.size(), plain.size());
@@ -303,89 +300,6 @@ TEST(TimingMemo, SharedTimingServesBitIdenticalCells)
             << "cell " << i;
         EXPECT_EQ(memoized[i].analysis.prediction.totalSeconds,
                   plain[i].analysis.prediction.totalSeconds);
-    }
-}
-
-TEST(AutoEngine, SelectsTheScanPathForTinyAndLowOccupancyLaunches)
-{
-    const arch::GpuSpec spec = arch::GpuSpec::gtx285();
-    const TimingSimulator sim(spec, ReplayEngine::kAuto);
-    EXPECT_EQ(sim.engine(), ReplayEngine::kAuto);
-
-    // The ROADMAP's ~720-op saxpy: far under the op threshold, so the
-    // legacy scan engine replays it.
-    const auto tiny =
-        simulate(driver::makeSaxpyCase("saxpy-tiny", 8, 128, 2.0f),
-                 spec);
-    EXPECT_LT(tiny.trace.totalOps(), kAutoMinOps);
-    EXPECT_EQ(sim.resolveEngine(tiny.trace),
-              ReplayEngine::kLegacyScan);
-
-    // A big high-occupancy stencil crosses both thresholds: the
-    // event-driven engine keeps its 3-4x win there.
-    const auto big =
-        simulate(driver::makeStencil1dCase("stencil-big", 128, 256),
-                 spec);
-    EXPECT_GE(big.trace.totalOps(), kAutoMinOps);
-    EXPECT_EQ(sim.resolveEngine(big.trace),
-              ReplayEngine::kEventDriven);
-
-    // Many ops but low residency (a shared-memory footprint that
-    // lets only one 4-warp block reside): the per-issue scan over a
-    // handful of live warps is the cheap path.
-    const auto narrow =
-        simulate(driver::makeStencil1dCase("stencil-narrow", 256, 128),
-                 spec);
-    funcsim::LaunchTrace cramped = narrow.trace;
-    cramped.sharedBytesPerBlock = spec.sharedMemPerSm / 2;
-    EXPECT_GE(cramped.totalOps(), kAutoMinOps);
-    EXPECT_EQ(sim.resolveEngine(cramped),
-              ReplayEngine::kLegacyScan);
-
-    // Explicit engines are never second-guessed.
-    EXPECT_EQ(TimingSimulator(spec, ReplayEngine::kEventDriven)
-                  .resolveEngine(tiny.trace),
-              ReplayEngine::kEventDriven);
-    EXPECT_EQ(TimingSimulator(spec, ReplayEngine::kLegacyScan)
-                  .resolveEngine(big.trace),
-              ReplayEngine::kLegacyScan);
-}
-
-TEST(AutoEngine, IsBitIdenticalToBothExplicitEnginesEitherWay)
-{
-    // kAuto must be a pure dispatch: whatever it picks, the
-    // TimingResult equals both explicit engines exactly — pinned on a
-    // launch from each side of the thresholds, end-to-end through a
-    // kAuto AnalysisSession.
-    const arch::GpuSpec spec = arch::GpuSpec::gtx285();
-    for (const KernelCase &kc :
-         {driver::makeSaxpyCase("saxpy-tiny", 8, 128, 2.0f),
-          driver::makeStencil1dCase("stencil-big", 64, 256)}) {
-        const auto res = simulate(kc, spec);
-        const TimingResult culled =
-            TimingSimulator(spec, ReplayEngine::kAuto).run(res.trace);
-        const TimingResult event =
-            TimingSimulator(spec, ReplayEngine::kEventDriven)
-                .run(res.trace);
-        EXPECT_TRUE(culled == event) << kc.name;
-
-        model::AnalysisSession plain(spec);
-        model::SessionConfig autoConfig;
-        autoConfig.engine = ReplayEngine::kAuto;
-        model::AnalysisSession culling(spec, autoConfig);
-        plain.adoptCalibration(sharedFakeTables());
-        culling.adoptCalibration(sharedFakeTables());
-        driver::PreparedLaunch a = kc.make();
-        driver::PreparedLaunch b = kc.make();
-        const auto pa =
-            plain.analyze(a.kernel, a.cfg, *a.gmem, a.options);
-        const auto pb =
-            culling.analyze(b.kernel, b.cfg, *b.gmem, b.options);
-        EXPECT_TRUE(pa.measurement.timing == pb.measurement.timing)
-            << kc.name;
-        EXPECT_EQ(pa.prediction.totalSeconds,
-                  pb.prediction.totalSeconds)
-            << kc.name;
     }
 }
 
