@@ -15,8 +15,11 @@
  *
  * Gate: >= 2x warp-instrs/sec on the large high-occupancy cases
  * (full 256-thread blocks: stencil1d, ELL SpMV, reduction and
- * histogram — the mix the paper's workloads are built from). The
- * low-occupancy saxpy contrast case is reported but not gated.
+ * histogram — the mix the paper's workloads are built from). Each
+ * core gets one untimed warmup launch, then five paired trials
+ * (scalar, then vectorized, each at least 0.25 s); a case's speedup
+ * is the median of the five per-pair ratios. The low-occupancy saxpy
+ * contrast case is reported but not gated.
  * Set GPUPERF_FUNCSIM_GATE=report to log instead of fail on machines
  * with unusable clocks; debug builds report only (the -O0 scalar and
  * vector cores pay very different interpretation overheads, so the
@@ -26,6 +29,7 @@
  * perf trajectory.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -47,16 +51,28 @@ struct FuncsimCase
     bool gated = false;  ///< part of the >= 2x high-occupancy gate
 };
 
+/** Paired trials per case; the gate reads their median ratio. */
+constexpr int kTrials = 5;
+/** Minimum wall time of one trial of one core. */
+constexpr double kMinTrialSeconds = 0.25;
+
 struct CaseResult
 {
     std::string name;
     uint64_t warpInstrs = 0;   ///< per launch
-    double scalarPerSec = 0.0; ///< warp-instrs/sec, scalar reference
-    double vecPerSec = 0.0;    ///< warp-instrs/sec, vectorized core
+    double scalarPerSec = 0.0; ///< median warp-instrs/sec, scalar core
+    double vecPerSec = 0.0;    ///< median warp-instrs/sec, vectorized
+    double speedup = 0.0;      ///< median of the paired trial ratios
     bool gated = false;
-
-    double speedup() const { return vecPerSec / scalarPerSec; }
 };
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
 
 double
 now()
@@ -96,16 +112,23 @@ requireIdentical(const std::string &name, const funcsim::RunResult &a,
     }
 }
 
-/** Warp-instrs/sec over @p reps launches of the prepared case. */
+/**
+ * Warp-instrs/sec of one trial: launches of the prepared case until
+ * at least kMinTrialSeconds have passed.
+ */
 double
 rate(funcsim::FunctionalSimulator &sim, const driver::PreparedLaunch &l,
      funcsim::GlobalMemory &gmem, const funcsim::RunOptions &opts,
-     uint64_t warp_instrs, int reps)
+     uint64_t warp_instrs)
 {
     const double start = now();
-    for (int i = 0; i < reps; ++i)
+    double elapsed = 0.0;
+    int reps = 0;
+    do {
         (void)sim.run(l.kernel, l.cfg, gmem, opts);
-    const double elapsed = now() - start;
+        ++reps;
+        elapsed = now() - start;
+    } while (elapsed < kMinTrialSeconds);
     return reps * static_cast<double>(warp_instrs) / elapsed;
 }
 
@@ -129,31 +152,30 @@ runCase(const FuncsimCase &fc, const arch::GpuSpec &spec)
     requireIdentical(fc.kc.name, rs, rv, memScalar.contentHash(),
                      memVec.contentHash());
 
-    // Size the repetition count off the slower (scalar) core so each
-    // measurement covers at least ~0.12 s. Timing reuses the mutated
+    // One untimed warmup launch per core. Timing reuses the mutated
     // images: every case's address streams are input-driven, so the
     // interpreted instruction mix is identical from rep to rep.
-    const double t0 = now();
     (void)scalar.run(launch.kernel, launch.cfg, memScalar, opts);
-    const double once = std::max(now() - t0, 1e-6);
-    const int reps = static_cast<int>(
-        std::min(2000.0, std::max(3.0, 0.12 / once)));
+    (void)vec.run(launch.kernel, launch.cfg, memVec, opts);
 
     CaseResult out;
     out.name = fc.kc.name;
     out.warpInstrs = rs.stats.totalWarpInstrs();
     out.gated = fc.gated;
-    // Best of three interleaved trials per core: scheduler noise on a
-    // shared machine only ever slows a trial down, so the max is the
-    // fairest estimate for both cores alike.
-    for (int trial = 0; trial < 3; ++trial) {
-        out.scalarPerSec = std::max(
-            out.scalarPerSec, rate(scalar, launch, memScalar, opts,
-                                   out.warpInstrs, reps));
-        out.vecPerSec =
-            std::max(out.vecPerSec, rate(vec, launch, memVec, opts,
-                                         out.warpInstrs, reps));
+    // Paired trials, scalar then vectorized back to back: a burst of
+    // host noise slows both halves of a pair alike, so the median of
+    // the per-pair ratios is steadier than either core's best alone.
+    std::vector<double> scalar_rates, vec_rates, ratios;
+    for (int trial = 0; trial < kTrials; ++trial) {
+        scalar_rates.push_back(
+            rate(scalar, launch, memScalar, opts, out.warpInstrs));
+        vec_rates.push_back(
+            rate(vec, launch, memVec, opts, out.warpInstrs));
+        ratios.push_back(vec_rates.back() / scalar_rates.back());
     }
+    out.scalarPerSec = median(scalar_rates);
+    out.vecPerSec = median(vec_rates);
+    out.speedup = median(ratios);
     return out;
 }
 
@@ -201,11 +223,11 @@ main(int argc, char **argv)
         t.addRow({r.name, std::to_string(r.warpInstrs),
                   Table::num(r.scalarPerSec, 0),
                   Table::num(r.vecPerSec, 0),
-                  Table::num(r.speedup(), 2) + "x" +
+                  Table::num(r.speedup, 2) + "x" +
                       (r.gated ? "" : "  (not gated)")});
         if (r.gated) {
-            worst_gated = std::min(worst_gated, r.speedup());
-            gate_ok = gate_ok && r.speedup() >= 2.0;
+            worst_gated = std::min(worst_gated, r.speedup);
+            gate_ok = gate_ok && r.speedup >= 2.0;
         }
         results.push_back(std::move(r));
     }
@@ -242,7 +264,7 @@ main(int argc, char **argv)
                       "\"speedup\": %.3f, \"gated\": %s}%s\n",
                       r.name.c_str(),
                       static_cast<unsigned long long>(r.warpInstrs),
-                      r.scalarPerSec, r.vecPerSec, r.speedup(),
+                      r.scalarPerSec, r.vecPerSec, r.speedup,
                       r.gated ? "true" : "false",
                       i + 1 < results.size() ? "," : "");
         json << buf;

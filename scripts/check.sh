@@ -39,12 +39,14 @@
 #               and the bench_fleet_soak gate as well; artifacts land
 #               in <build-dir>/fleet-smoke/.
 #   --sched-smoke
-#               Build, then run ONLY the scheduling-policy smoke: a
-#               gpuperf-serve daemon running --sched sjf with one
-#               fleet worker serves 2 concurrent clients carrying
-#               distinct --client ids; every response is byte-diffed
-#               against an in-process (FIFO) run of the same request —
-#               policies reorder work, never results. The full
+#               Build, then run ONLY the scheduling-policy smoke: once
+#               under --sched sjf and once under --sched fair-share, a
+#               gpuperf-serve daemon with one fleet worker serves 2
+#               concurrent clients carrying distinct --client ids;
+#               every response is byte-diffed against an in-process
+#               run of the same request and the daemon's stats must
+#               name its policy — policies reorder the dispatcher's
+#               work, never results. The full
 #               (flagless) run executes this and the
 #               bench_sched_fairness gate as well; artifacts land in
 #               <build-dir>/sched-smoke/.
@@ -337,44 +339,63 @@ run_fleet_smoke() {
     echo "fleet-smoke: poison cell failed alone on the fleet; 2 clients over a 2-worker fleet (1 killed mid-run) byte-identical to the in-process run"
 }
 
-# Scheduling-policy end-to-end: an SJF daemon with a shared store and
-# one fleet worker serves two clients carrying distinct --client ids;
-# both JSON responses must be byte-identical to an in-process (FIFO)
-# run — the policy reorders work, never results.
+# Scheduling-policy end-to-end, once per ordering policy: a daemon
+# running --sched POLICY with a shared store and one fleet worker
+# serves two clients carrying distinct --client ids; both JSON
+# responses must be byte-identical to an in-process run, and the
+# daemon's stats must name the policy — a policy reorders the
+# dispatcher's work, never results.
 run_sched_smoke() {
     local SMOKE="$BUILD_DIR/sched-smoke"
     local W="$BUILD_DIR/gpuperf-worker"
-    local S="$BUILD_DIR/gpuperf-serve"
-    local SOCK="$SMOKE/serve.sock"
     rm -rf "$SMOKE"
     mkdir -p "$SMOKE"
 
-    "$S" --via "unix:$SOCK" --sched sjf --store "$SMOKE/store-fleet" \
-        --stats-json > "$SMOKE/serve.log" 2>&1 &
-    local SERVE_PID=$!
-    trap 'kill "$SERVE_PID" 2>/dev/null || true' RETURN
-    for _ in $(seq 1 100); do
-        [[ -S "$SOCK" ]] && grep -q "ready" "$SMOKE/serve.log" && break
-        sleep 0.1
-    done
-    [[ -S "$SOCK" ]] || { echo "sched-smoke: daemon never bound $SOCK" >&2
-                          cat "$SMOKE/serve.log" >&2; return 1; }
-
-    "$W" serve --via "unix:$SOCK" > "$SMOKE/worker.log" 2>&1 &
-    local WORKER_PID=$!
-
-    # The reference: in-process execution IS the fifo ordering.
+    # The reference: the same request executed in-process.
     "$W" demo-request --out "$SMOKE/request-ref.json" \
         --store "$SMOKE/store-ref"
     "$W" run "$SMOKE/request-ref.json" --out "$SMOKE/response-ref.json"
-
     "$W" demo-request --out "$SMOKE/request.json"
+
+    local POLICY
+    for POLICY in sjf fair-share; do
+        sched_smoke_leg "$SMOKE" "$POLICY"
+    done
+    echo "sched-smoke: sjf and fair-share responses byte-identical to the in-process run"
+}
+
+# One policy's leg of run_sched_smoke; artifacts land in SMOKE/POLICY/.
+sched_smoke_leg() {
+    local SMOKE="$1" POLICY="$2"
+    local LEG="$SMOKE/$POLICY"
+    local W="$BUILD_DIR/gpuperf-worker"
+    local S="$BUILD_DIR/gpuperf-serve"
+    local SOCK="$LEG/serve.sock"
+    mkdir -p "$LEG"
+
+    "$S" --via "unix:$SOCK" --sched "$POLICY" --store "$LEG/store-fleet" \
+        --stats-json > "$LEG/serve.log" 2>&1 &
+    local SERVE_PID=$!
+    # Clears itself: a RETURN trap outlives the function that set it,
+    # and would fire again, on an unset SERVE_PID, when the caller
+    # returns.
+    trap 'kill "$SERVE_PID" 2>/dev/null || true; trap - RETURN' RETURN
+    for _ in $(seq 1 100); do
+        [[ -S "$SOCK" ]] && grep -q "ready" "$LEG/serve.log" && break
+        sleep 0.1
+    done
+    [[ -S "$SOCK" ]] || { echo "sched-smoke: $POLICY daemon never bound $SOCK" >&2
+                          cat "$LEG/serve.log" >&2; return 1; }
+
+    "$W" serve --via "unix:$SOCK" > "$LEG/worker.log" 2>&1 &
+    local WORKER_PID=$!
+
     local PIDS=()
     for i in 1 2; do
         "$W" run "$SMOKE/request.json" \
-            --out "$SMOKE/response-$i.json" \
+            --out "$LEG/response-$i.json" \
             --via "unix:$SOCK" --client "client-$i" \
-            > "$SMOKE/client-$i.log" 2>&1 &
+            > "$LEG/client-$i.log" 2>&1 &
         PIDS+=($!)
     done
     local PID
@@ -382,18 +403,18 @@ run_sched_smoke() {
         wait "$PID"
     done
     for i in 1 2; do
-        diff "$SMOKE/response-ref.json" "$SMOKE/response-$i.json"
+        diff "$SMOKE/response-ref.json" "$LEG/response-$i.json"
     done
 
     kill -TERM "$SERVE_PID"
     wait "$SERVE_PID"
     wait "$WORKER_PID" 2>/dev/null || true
-    grep -q '"sched_policy": "sjf"' "$SMOKE/serve.log" || {
-        echo "sched-smoke: daemon stats never reported sched_policy sjf" >&2
-        cat "$SMOKE/serve.log" >&2
+    grep -q "\"sched_policy\": \"$POLICY\"" "$LEG/serve.log" || {
+        echo "sched-smoke: daemon stats never reported sched_policy $POLICY" >&2
+        cat "$LEG/serve.log" >&2
         return 1
     }
-    echo "sched-smoke: sjf-scheduled responses byte-identical to the in-process fifo run"
+    echo "sched-smoke: $POLICY responses byte-identical to the in-process run"
 }
 
 # Store-lifecycle end-to-end: corruption is quarantined (verify exits

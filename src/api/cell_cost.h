@@ -26,7 +26,7 @@ namespace api {
 
 /**
  * The observation key of one cell request: a content hash of its
- * serialized bytes, shared across processes and resubmissions.
+ * serialized bytes, shared across jobs, clients and resubmissions.
  */
 std::string cellCostKey(const AnalysisRequest &cell);
 

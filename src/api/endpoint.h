@@ -33,7 +33,7 @@
  *                      (0 = no age bound)
  *     gc-interval      server: seconds between GC sweeps
  *     json             client sends JSON requests (1/0)
- *     sched            scheduling policy: fifo | sjf | fair-share
+ *     sched            dispatcher order: fifo | sjf | fair-share
  *                      (see src/sched/policy.h)
  *     client           client identity for fair-share accounting
  */
@@ -93,10 +93,11 @@ struct Endpoint
     bool jsonRequests = false;
 
     /**
-     * Scheduling policy for this seam: how a server's dispatcher
-     * orders pending jobs and which ready order the local
-     * executor's task graph uses. Changes
-     * execution ORDER only — responses stay bit-identical to kFifo.
+     * Scheduling policy for this seam: the order in which a server's
+     * dispatcher hands pending jobs to workers (its PendingQueue).
+     * Nothing else reads it; the executor's task graph is always
+     * FIFO. Changes execution ORDER only — responses stay
+     * bit-identical to kFifo.
      */
     sched::SchedPolicy schedPolicy = sched::SchedPolicy::kFifo;
 

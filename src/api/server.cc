@@ -54,9 +54,6 @@ Server::Server(const Endpoint &endpoint)
 Server::Server(const std::vector<Endpoint> &endpoints)
     : endpoints_(listeners(endpoints)), dispatcher_(service_, config())
 {
-    // One policy drives both halves: the dispatcher's pending queue
-    // (fleet path) and the local service's task-graph ready order.
-    service_.setSchedPolicy(config().schedPolicy);
 }
 
 Server::~Server()

@@ -104,18 +104,14 @@ AnalysisService::executorOptions(const AnalysisRequest &req)
 std::shared_ptr<driver::BatchRunner>
 AnalysisService::executorHandleFor(const AnalysisRequest &req)
 {
-    driver::BatchRunner::Options opts = executorOptions(req);
+    const driver::BatchRunner::Options opts = executorOptions(req);
     std::lock_guard<std::mutex> lock(mutex_);
-    opts.schedPolicy = schedPolicy_;
     // Executors are shared per distinct policy so repeated requests
-    // reuse in-memory memos; the key serializes every option field
-    // (the service-level sched policy included, so a mid-life switch
-    // builds a fresh executor instead of mutating a running one).
+    // reuse in-memory memos; the key serializes every option field.
     const std::string key =
         std::to_string(opts.numThreads) + "|" + opts.storeDir + "|" +
         (opts.reuseStoredResults ? "R" : "r") +
-        std::to_string(static_cast<int>(opts.engine)) + "|" +
-        sched::schedPolicyName(opts.schedPolicy);
+        std::to_string(static_cast<int>(opts.engine));
     Executor &executor = executors_[key];
     if (!executor.runner)
         executor.runner = std::make_shared<driver::BatchRunner>(opts);
@@ -211,20 +207,6 @@ AnalysisService::storeStats() const
     for (const auto &entry : executors_)
         s += entry.second.runner->storeStats();
     return s;
-}
-
-void
-AnalysisService::setSchedPolicy(sched::SchedPolicy policy)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    schedPolicy_ = policy;
-}
-
-sched::SchedPolicy
-AnalysisService::schedPolicy() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return schedPolicy_;
 }
 
 void

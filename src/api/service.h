@@ -30,7 +30,6 @@
 
 #include "api/request.h"
 #include "driver/batch_runner.h"
-#include "sched/policy.h"
 #include "store/stats.h"
 
 namespace gpuperf {
@@ -125,19 +124,6 @@ class AnalysisService
     void reset();
 
     /**
-     * Ready-order policy for every executor this service builds
-     * (`?sched=` on a server endpoint). A SERVICE-level knob, not a
-     * request field: the daemon operator picks the policy, clients
-     * cannot override it per request. Takes effect for executors
-     * created after the call (policy participates in the cache key,
-     * so switching mid-life builds fresh executors rather than
-     * mutating running ones). Results stay bit-identical under every
-     * policy.
-     */
-    void setSchedPolicy(sched::SchedPolicy policy);
-    sched::SchedPolicy schedPolicy() const;
-
-    /**
      * Store cache-health counters summed across every executor this
      * service has EVER built: live cache entries plus an accumulator
      * of the executors the LRU bound evicted, so a counter never
@@ -167,7 +153,6 @@ class AnalysisService
     /** Counters of executors the LRU bound (or reset()) retired. */
     store::StoreLayerStats retired_;
     uint64_t useCounter_ = 0;
-    sched::SchedPolicy schedPolicy_ = sched::SchedPolicy::kFifo;
 };
 
 /**

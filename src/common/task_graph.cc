@@ -16,152 +16,94 @@ TaskGraph::NodeId
 TaskGraph::add(std::string name, std::function<void()> fn,
                const std::vector<NodeId> &deps)
 {
-    return add(std::move(name), std::move(fn), deps, 0.0);
-}
-
-void
-TaskGraph::setReadyOrder(ReadyOrder order)
-{
     std::lock_guard<std::mutex> lock(mutex_);
-    if (running_ || finished_)
-        throw std::logic_error(
-            "TaskGraph: setReadyOrder() must precede run()");
-    readyOrder_ = order;
-}
-
-TaskGraph::NodeId
-TaskGraph::add(std::string name, std::function<void()> fn,
-               const std::vector<NodeId> &deps, double cost)
-{
-    bool ready = false;
-    bool skipped = false;
-    NodeId id;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (finished_)
+    if (finished_)
+        throw std::logic_error("TaskGraph: add() after run() completed");
+    const NodeId id = nodes_.size();
+    // Validate every dependency BEFORE touching any dependents
+    // list: throwing halfway would leave a dangling dependent id
+    // pointing at a node that was never created.
+    for (NodeId dep : deps) {
+        if (dep >= id)
             throw std::logic_error(
-                "TaskGraph: add() after run() completed");
-        id = nodes_.size();
-        // Validate every dependency BEFORE touching any dependents
-        // list: throwing halfway would leave a dangling dependent id
-        // pointing at a node that was never created.
-        for (NodeId dep : deps) {
-            if (dep >= id)
-                throw std::logic_error(
-                    "TaskGraph: dependency on a node that does not "
-                    "exist yet (edges must point backwards, which also "
-                    "keeps the graph acyclic)");
-        }
-        // The node joins nodes_ before any dependents list learns its
-        // id, and a registration failure (allocation) rolls both
-        // back — no path leaves a dep holding an id that was never
-        // created or that can never be notified.
-        nodes_.push_back(std::make_unique<Node>());
-        Node &node = *nodes_[id];
-        node.name = std::move(name);
-        node.fn = std::move(fn);
-        node.cost = cost;
-        std::exception_ptr cause;
-        try {
-            for (NodeId dep : deps) {
-                Node &d = *nodes_[dep];
-                switch (d.state) {
-                  case NodeState::kDone:
-                    break; // already satisfied
-                  case NodeState::kFailed:
-                  case NodeState::kSkipped:
-                    if (!cause)
-                        cause = d.error;
-                    break;
-                  default:
-                    d.dependents.push_back(id);
-                    ++node.waiting;
-                    break;
-                }
-            }
-        } catch (...) {
-            for (NodeId dep : deps) {
-                auto &v = nodes_[dep]->dependents;
-                v.erase(std::remove(v.begin(), v.end(), id), v.end());
-            }
-            nodes_.pop_back();
-            throw;
-        }
-        ++unfinished_;
-        if (cause) {
-            // A dependency already failed: the node joins the graph
-            // only to be settled as skipped (it has no dependents of
-            // its own yet, so no cascade).
-            nodes_[id]->state = NodeState::kSkipped;
-            nodes_[id]->error = cause;
-            nodes_[id]->fn = nullptr;
-            finishOneLocked();
-            skipped = true;
-        } else if (running_ && nodes_[id]->waiting == 0) {
-            ready = true;
-        }
+                "TaskGraph: dependency on a node that does not "
+                "exist yet (edges must point backwards, which also "
+                "keeps the graph acyclic)");
     }
-    (void)skipped;
-    if (ready)
-        submit(id);
+    // The node joins nodes_ before any dependents list learns its
+    // id, and a registration failure (allocation) rolls both
+    // back — no path leaves a dep holding an id that was never
+    // created or that can never be notified.
+    nodes_.push_back(std::make_unique<Node>());
+    Node &node = *nodes_[id];
+    node.name = std::move(name);
+    node.fn = std::move(fn);
+    std::exception_ptr cause;
+    try {
+        for (NodeId dep : deps) {
+            Node &d = *nodes_[dep];
+            switch (d.state) {
+              case NodeState::kDone:
+                break; // already satisfied
+              case NodeState::kFailed:
+              case NodeState::kSkipped:
+                if (!cause)
+                    cause = d.error;
+                break;
+              default:
+                d.dependents.push_back(id);
+                ++node.waiting;
+                break;
+            }
+        }
+    } catch (...) {
+        for (NodeId dep : deps) {
+            auto &v = nodes_[dep]->dependents;
+            v.erase(std::remove(v.begin(), v.end(), id), v.end());
+        }
+        nodes_.pop_back();
+        throw;
+    }
+    ++unfinished_;
+    if (cause) {
+        // A dependency already failed: the node joins the graph
+        // only to be settled as skipped (it has no dependents of
+        // its own yet, so no cascade).
+        nodes_[id]->state = NodeState::kSkipped;
+        nodes_[id]->error = cause;
+        nodes_[id]->fn = nullptr;
+        finishOneLocked();
+    } else if (running_ && nodes_[id]->waiting == 0) {
+        submitLocked(id);
+    }
     return id;
 }
 
 void
 TaskGraph::run()
 {
-    std::vector<NodeId> roots;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (running_ || finished_)
-            throw std::logic_error("TaskGraph: run() is one-shot");
-        running_ = true;
-        for (NodeId id = 0; id < nodes_.size(); ++id) {
-            if (nodes_[id]->state == NodeState::kPending &&
-                nodes_[id]->waiting == 0) {
-                roots.push_back(id);
-            }
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (running_ || finished_)
+        throw std::logic_error("TaskGraph: run() is one-shot");
+    running_ = true;
+    for (NodeId id = 0; id < nodes_.size(); ++id) {
+        if (nodes_[id]->state == NodeState::kPending &&
+            nodes_[id]->waiting == 0) {
+            submitLocked(id);
         }
     }
-    for (NodeId id : roots)
-        submit(id);
-
-    std::unique_lock<std::mutex> lock(mutex_);
     drained_.wait(lock, [this]() { return unfinished_ == 0; });
     running_ = false;
     finished_ = true;
 }
 
 void
-TaskGraph::submit(NodeId id)
+TaskGraph::submitLocked(NodeId id)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const double key = readyOrder_ == ReadyOrder::kSmallestFirst
-                               ? nodes_[id]->cost
-                               : 0.0;
-        ready_.emplace(key, readySeq_++, id);
-    }
     // The returned future is deliberately dropped: execute() catches
     // everything the body throws, so the future can never carry an
-    // exception, and completion is tracked by unfinished_. The token
-    // is generic: whichever worker picks it up runs the BEST ready
-    // node at that moment, not necessarily the one that minted it.
-    pool_.submit([this]() { runNext(); });
-}
-
-void
-TaskGraph::runNext()
-{
-    NodeId id;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        GPUPERF_ASSERT(!ready_.empty(),
-                       "task-graph token without a ready node");
-        id = std::get<2>(*ready_.begin());
-        ready_.erase(ready_.begin());
-    }
-    execute(id);
+    // exception, and completion is tracked by unfinished_.
+    pool_.submit([this, id]() { execute(id); });
 }
 
 void
@@ -188,32 +130,27 @@ TaskGraph::execute(NodeId id)
     }
     fn = nullptr;
 
-    std::vector<NodeId> ready;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Node &node = *nodes_[id];
-        if (err) {
-            node.state = NodeState::kFailed;
-            node.error = err;
-            // Settle the node itself BEFORE cascading so the cascade
-            // never revisits it.
-            finishOneLocked();
-            for (NodeId dep : node.dependents)
-                skipCascadeLocked(dep, err);
-        } else {
-            node.state = NodeState::kDone;
-            finishOneLocked();
-            for (NodeId dep : node.dependents) {
-                Node &d = *nodes_[dep];
-                if (d.state != NodeState::kPending)
-                    continue; // already skipped by a failed sibling
-                if (--d.waiting == 0)
-                    ready.push_back(dep);
-            }
+    std::lock_guard<std::mutex> lock(mutex_);
+    Node &node = *nodes_[id];
+    if (err) {
+        node.state = NodeState::kFailed;
+        node.error = err;
+        // Settle the node itself BEFORE cascading so the cascade
+        // never revisits it.
+        finishOneLocked();
+        for (NodeId dep : node.dependents)
+            skipCascadeLocked(dep, err);
+    } else {
+        node.state = NodeState::kDone;
+        finishOneLocked();
+        for (NodeId dep : node.dependents) {
+            Node &d = *nodes_[dep];
+            if (d.state != NodeState::kPending)
+                continue; // already skipped by a failed sibling
+            if (--d.waiting == 0)
+                submitLocked(dep);
         }
     }
-    for (NodeId dep : ready)
-        submit(dep);
 }
 
 void

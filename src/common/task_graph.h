@@ -21,6 +21,9 @@
  *    Nodes may call add() on their own graph; that is how dynamic
  *    short-circuits work (e.g. a store-warm batch cell never creates
  *    its simulation nodes at all).
+ *  - Ready nodes start in the order they became ready: each goes
+ *    straight onto the pool's FIFO queue, behind whatever the pool
+ *    already holds.
  *  - A node that throws is recorded kFailed with the captured
  *    exception; its transitive dependents never run and are recorded
  *    kSkipped carrying the root cause. run() itself does not throw
@@ -36,14 +39,11 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -64,18 +64,6 @@ class TaskGraph
         kSkipped,  ///< a transitive dependency failed; error() holds it
     };
 
-    /**
-     * Order ready nodes leave the internal ready set in. Changing it
-     * never changes results — only which ready node a freed worker
-     * picks up next (see src/sched/policy.h for the policy layer that
-     * selects an order).
-     */
-    enum class ReadyOrder
-    {
-        kInsertion,     ///< became-ready order (pre-policy behaviour)
-        kSmallestFirst, ///< lowest cost first (SJF)
-    };
-
     /** @param pool the worker pool nodes execute on (not owned). */
     explicit TaskGraph(ThreadPool &pool);
     ~TaskGraph();
@@ -92,17 +80,6 @@ class TaskGraph
      */
     NodeId add(std::string name, std::function<void()> fn,
                const std::vector<NodeId> &deps = {});
-
-    /**
-     * Like add(), with a predicted cost for the ready-order policies.
-     * Cost only matters under kSmallestFirst; nodes
-     * added without one sort as cost 0.
-     */
-    NodeId add(std::string name, std::function<void()> fn,
-               const std::vector<NodeId> &deps, double cost);
-
-    /** Select the ready order. Call before run(). */
-    void setReadyOrder(ReadyOrder order);
 
     /**
      * Execute the graph to completion (every node kDone, kFailed or
@@ -134,21 +111,17 @@ class TaskGraph
         std::function<void()> fn;
         /** Unfinished dependencies; ready when it reaches zero. */
         int waiting = 0;
-        /** Predicted cost for the priority ready orders. */
-        double cost = 0.0;
         std::vector<NodeId> dependents;
         NodeState state = NodeState::kPending;
         std::exception_ptr error;
     };
 
     /**
-     * Put @p id in the ready set and hand the pool one generic token
-     * (one token per ready node, so execute() still runs each node
-     * exactly once). Caller must NOT hold mutex_.
+     * Hand the ready node @p id to the pool. Called under mutex_ at
+     * the moment the node becomes ready, so the pool's FIFO queue
+     * holds ready nodes in exactly that order. Caller holds mutex_.
      */
-    void submit(NodeId id);
-    /** Pool-token body: pop the best ready node and execute it. */
-    void runNext();
+    void submitLocked(NodeId id);
     /** Worker body: run the node, then settle its dependents. */
     void execute(NodeId id);
     /**
@@ -165,16 +138,6 @@ class TaskGraph
     std::condition_variable drained_;
     /** unique_ptr for stable addresses across reallocation. */
     std::vector<std::unique_ptr<Node>> nodes_;
-    /**
-     * Ready nodes as (sort key, became-ready seq, id): begin() is the
-     * next node a pool token runs. The sort key is derived from the
-     * node's cost at insertion per readyOrder_ (0 for kInsertion,
-     * cost for kSmallestFirst), so the seq
-     * tie-break always preserves arrival order.
-     */
-    std::set<std::tuple<double, uint64_t, NodeId>> ready_;
-    uint64_t readySeq_ = 0;
-    ReadyOrder readyOrder_ = ReadyOrder::kInsertion;
     size_t unfinished_ = 0;
     bool running_ = false;
     bool finished_ = false;

@@ -11,7 +11,6 @@
 
 #include "common/logging.h"
 #include "common/task_graph.h"
-#include "sched/cost.h"
 #include "store/calibration_store.h"
 #include "store/codecs.h"
 #include "store/profile_store.h"
@@ -485,18 +484,6 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
     stats.cells = kernels.size() * specs.size();
 
     TaskGraph graph(pool_);
-    switch (options_.schedPolicy) {
-    case sched::SchedPolicy::kFifo:
-        break;
-    case sched::SchedPolicy::kSjf:
-    case sched::SchedPolicy::kFairShare:
-        // The task graph has no client identity; fair-share degrades
-        // to shortest-job-first at this level.
-        graph.setReadyOrder(TaskGraph::ReadyOrder::kSmallestFirst);
-        break;
-    }
-    const bool costed_ready =
-        options_.schedPolicy != sched::SchedPolicy::kFifo;
 
     // State shared by node lambdas: the dedup maps behind the
     // dynamically created profile/timing nodes, and the serialized
@@ -739,7 +726,7 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                 "cell:" + kc->name + "@" + spec->name,
                 [this, &graph, kc, spec, sslot, pslot, &sweep, index,
                  deliver, prep_node, ensure_profile,
-                 ensure_timing, costed_ready]() {
+                 ensure_timing]() {
                     // Exactly-once delivery even if this body throws
                     // somewhere unexpected (allocation, store I/O):
                     // an undelivered cell would surface as a silent
@@ -809,36 +796,6 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                     const std::shared_ptr<TimingSlot> tslot =
                         timing.second;
                     auto prof_slot = prof.second;
-                    // Predicted analyze cost for the priority ready
-                    // orders: the observation side-channel's EWMA
-                    // wall time for this exact (profile key, timing
-                    // fingerprint), falling back to a launch-size
-                    // estimate on a cold store.
-                    double analyze_cost = 0.0;
-                    bool observed = false;
-                    if (costed_ready) {
-                        double obs_ms = 0.0;
-                        if (timingStore_ &&
-                            timingStore_->loadObservationMs(
-                                pc->key,
-                                arch::TimingFingerprint::of(*spec),
-                                &obs_ms)) {
-                            analyze_cost = obs_ms;
-                            observed = true;
-                        } else {
-                            sched::CostFeatures feat;
-                            feat.warps =
-                                static_cast<uint64_t>(
-                                    pc->key.cfg.gridDim) *
-                                ((static_cast<uint64_t>(
-                                      pc->key.cfg.blockDim) +
-                                  31) /
-                                 32);
-                            analyze_cost =
-                                sched::CostModel::staticUnits(feat) *
-                                sched::CostModel::kDefaultMsPerUnit;
-                        }
-                    }
                     // The analyze node depends on its own profile
                     // node explicitly as well as the timing node:
                     // belt and braces against any future re-keying
@@ -847,11 +804,9 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                     graph.add(
                         "analyze:" + kc->name + "@" + spec->name,
                         [this, &graph, kc, spec, sslot, prof_slot,
-                         tslot, pc, &sweep, index, deliver, rkey,
-                         observed]() {
+                         tslot, pc, &sweep, index, deliver,
+                         rkey]() {
                             bool delivered = false;
-                            const auto a0 =
-                                std::chrono::steady_clock::now();
                             try {
                             BatchResult r = guardedCell(
                                 kc->name, spec->name,
@@ -885,38 +840,12 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                                       rkey, *copy);
                                           });
                             }
-                            const bool record = r.ok && timingStore_ &&
-                                                !observed;
                             delivered = true;
                             deliver(index, std::move(r));
                             // Siblings get the profile from the
                             // shared node (or the store); megabytes
                             // of stashed input image buy nothing now.
                             pc->discardLaunch();
-                            // Feed the observation side-channel
-                            // AFTER delivery (disk I/O never sits on
-                            // the cell's latency path): the next
-                            // process predicts this cell's analyze
-                            // cost from measured wall time instead of
-                            // launch size. A cell records its first
-                            // observation only; a warm run rewriting
-                            // every entry cost more than the ordering
-                            // it refines.
-                            if (record) {
-                                const double analyze_ms =
-                                    std::chrono::duration<
-                                        double, std::milli>(
-                                        std::chrono::steady_clock::
-                                            now() -
-                                        a0)
-                                        .count();
-                                const arch::TimingFingerprint tfp =
-                                    arch::TimingFingerprint::of(*spec);
-                                if (!timingStore_->loadObservationMs(
-                                        pc->key, tfp, nullptr))
-                                    timingStore_->recordObservationMs(
-                                        pc->key, tfp, analyze_ms);
-                            }
                             } catch (...) {
                                 if (!delivered) {
                                     deliver(
@@ -927,7 +856,7 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                 }
                             }
                         },
-                        {prof.first, timing.first}, analyze_cost);
+                        {prof.first, timing.first});
                     } catch (...) {
                         if (!delivered) {
                             deliver(index,

@@ -32,7 +32,9 @@
  *
  * No worker ever blocks on an unfinished dependency — a node is
  * scheduled only when its inputs exist, so every worker always runs
- * ready work.
+ * ready work. Ready nodes run in the order they became ready; no
+ * cost prediction reorders them (`?sched=` orders only the fleet
+ * dispatcher's pending queue, src/api/dispatch.h).
  *
  * With Options::storeDir set, profiles, calibrations, timings and
  * finished results persist on disk, so repeated batch runs skip
@@ -67,7 +69,6 @@
 #include "driver/sweep.h"
 #include "funcsim/profile.h"
 #include "model/session.h"
-#include "sched/policy.h"
 #include "store/lease.h"
 #include "store/stats.h"
 
@@ -158,17 +159,6 @@ class BatchRunner
          */
         timing::ReplayEngine engine =
             timing::ReplayEngine::kEventDriven;
-        /**
-         * Order in which READY task-graph nodes are claimed by pool
-         * workers (`?sched=`): kSjf/kFairShare run cheapest-predicted
-         * analyze nodes first. Costs come
-         * from the TimingStore's observation side-channel — the wall
-         * time per (profile key, timing fingerprint) that the first
-         * run of the cell recorded — falling back to a static
-         * launch-size estimate. Changes scheduling only; results stay
-         * bit-identical to kFifo.
-         */
-        sched::SchedPolicy schedPolicy = sched::SchedPolicy::kFifo;
     };
 
     BatchRunner(); ///< default Options

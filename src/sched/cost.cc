@@ -35,13 +35,6 @@ CostModel::estimate(const std::string &key, const CostFeatures &f) const
     return staticUnits(f) * msPerUnit_;
 }
 
-double
-CostModel::estimateStatic(const CostFeatures &f) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return staticUnits(f) * msPerUnit_;
-}
-
 void
 CostModel::observe(const std::string &key, const CostFeatures &f,
                    double ms)
@@ -67,34 +60,6 @@ CostModel::observe(const std::string &key, const CostFeatures &f,
             ewmaMerge(msPerUnit_, msPerUnitCount_, ms / units);
         ++msPerUnitCount_;
     }
-}
-
-void
-CostModel::seed(const std::string &key, double ms, uint64_t count)
-{
-    if (count == 0 || !(ms >= 0.0) || !std::isfinite(ms))
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    Observation &obs = observations_[key];
-    if (obs.count > 0)
-        return; // in-process observations are fresher
-    obs.ewmaMs = ms;
-    obs.count = count;
-}
-
-bool
-CostModel::observed(const std::string &key, double *ms,
-                    uint64_t *count) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = observations_.find(key);
-    if (it == observations_.end() || it->second.count == 0)
-        return false;
-    if (ms)
-        *ms = it->second.ewmaMs;
-    if (count)
-        *count = it->second.count;
-    return true;
 }
 
 double

@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-cell cost prediction for the schedulers.
+ * Per-cell cost prediction for the fleet dispatcher's scheduler.
  *
  * The paper's own inputs are cheap static predictors of runtime cost:
  * a replay's wall time scales with the warp-op count of the trace and
@@ -11,12 +11,10 @@
  *    ops + warps), converted to approximate milliseconds by a learned
  *    ms-per-unit factor so static and observed estimates stay
  *    comparable inside one queue;
- *  - observed: an EWMA of historical wall times per observation key
- *    (the (profile key, timing fingerprint) string), seeded from the
- *    TimingStore's persisted observation side-channel so a fleet
- *    learns across processes.
+ *  - observed: an EWMA of the wall times measured in this process
+ *    per observation key (see api/cell_cost.h).
  *
- * Thread-safe; one instance is shared by every scheduler in a process.
+ * Thread-safe; the fleet dispatcher owns the one instance, in memory.
  */
 
 #ifndef GPUPERF_SCHED_COST_H
@@ -65,25 +63,12 @@ class CostModel
     double estimate(const std::string &key,
                     const CostFeatures &f) const;
 
-    /** The static fallback alone (key unknown or never observed). */
-    double estimateStatic(const CostFeatures &f) const;
-
     /**
      * Record one measured wall time for @p key, refining both the
      * per-key EWMA and the static-units-to-ms factor.
      */
     void observe(const std::string &key, const CostFeatures &f,
                  double ms);
-
-    /**
-     * Install a persisted observation (from the TimingStore
-     * side-channel) unless a fresher in-process one already exists.
-     */
-    void seed(const std::string &key, double ms, uint64_t count);
-
-    /** The observed EWMA for @p key, if any. */
-    bool observed(const std::string &key, double *ms,
-                  uint64_t *count = nullptr) const;
 
     /** |predicted - measured| accumulation for the stats surface. */
     double predictionErrorAbsSum() const;

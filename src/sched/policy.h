@@ -1,10 +1,10 @@
 /**
  * @file
- * Scheduling policies and the policy-ordered pending queue shared by
- * every execution seam (task-graph ready set, fleet dispatcher).
+ * Scheduling policies and the policy-ordered pending queue of the
+ * fleet dispatcher (src/api/dispatch.h), the one seam they order.
  *
  * A policy only ever changes the ORDER work is started in — never its
- * results: every consumer is pinned bit-identical to its FIFO run.
+ * results: the dispatcher is pinned bit-identical to its FIFO run.
  *
  *  - kFifo          arrival order (the pre-policy behaviour; default)
  *  - kSjf           smallest predicted cost first — minimizes tail

@@ -22,7 +22,7 @@ const char kJanitorLeaseName[] = "janitor.lease";
 namespace {
 
 const char *const kEntrySuffixes[] = {
-    ".profile", ".calibration", ".bench", ".timing", ".obs", ".result",
+    ".profile", ".calibration", ".bench", ".timing", ".result",
 };
 
 constexpr uint32_t kAccessIndexVersion = 1;

@@ -8,17 +8,19 @@
  * that complements the process-side StoreCounters.
  *
  * A store directory holds exactly these citizens:
- *   entries     *.profile *.calibration *.bench *.timing *.obs *.result
+ *   entries     *.profile *.calibration *.bench *.timing *.result
  *   leases      *.lease (advisory in-flight markers, store/lease.h)
  *   temps       *<anything>.tmp.<pid>.<seq> (in-flight atomic writes)
  *   sidecar     access.idx (last-access index, this file)
  *   janitor     janitor.lease (one GC per dir at a time)
  *   quarantine/ corrupt entries the Verifier moved aside
  *
- * Anything else is not a store citizen and is ignored; in particular
- * the `pack-*` segment files older builds wrote are never read (their
- * entries miss, recompute and are written loose again) and may be
- * deleted.
+ * Anything else is not a store citizen and is ignored. Two retired
+ * names in particular may still sit in stores older builds wrote,
+ * and may be deleted:
+ *   pack-*      segment files; never read (their entries miss,
+ *               recompute and are written loose again)
+ *   *.obs       per-replay cost observations; nothing reads them
  */
 
 #ifndef GPUPERF_STORE_LIFECYCLE_LIFECYCLE_H

@@ -1,6 +1,5 @@
 #include "store/timing_store.h"
 
-#include "sched/cost.h"
 #include "store/codecs.h"
 #include "store/lifecycle/lifecycle.h"
 #include "store/serializer.h"
@@ -71,60 +70,6 @@ TimingStore::leaseHeld(const funcsim::ProfileKey &key,
                        const arch::TimingFingerprint &fp) const
 {
     return leaseFresh(leasePath(keyFor(key, fp)), leaseStaleAfterMs_);
-}
-
-bool
-TimingStore::recordObservationMs(const funcsim::ProfileKey &key,
-                                 const arch::TimingFingerprint &fp,
-                                 double ms) const
-{
-    const std::string key_str = keyFor(key, fp);
-    const std::string name = fileStem("obs", key_str) + ".obs";
-    double ewma = 0.0;
-    uint64_t count = 0;
-    std::string payload;
-    // Read-merge-write: the atomic rename of the new .obs file is the
-    // last-write-wins arbiter between concurrent observers.
-    if (readStoreEntry(dir_, name, kObservationFormatVersion, key_str,
-                       &payload, &counters_)) {
-        ByteReader r(payload);
-        const double storedEwma = r.f64();
-        const uint64_t storedCount = r.u64();
-        if (r.atEnd()) {
-            ewma = storedEwma;
-            count = storedCount;
-        }
-    }
-    ewma = sched::CostModel::ewmaMerge(ewma, count, ms);
-    ++count;
-    ByteWriter w;
-    w.f64(ewma);
-    w.u64(count);
-    return writeEntryFile(dir_ + "/" + name, kObservationFormatVersion,
-                          key_str, w.bytes(), &counters_);
-}
-
-bool
-TimingStore::loadObservationMs(const funcsim::ProfileKey &key,
-                               const arch::TimingFingerprint &fp,
-                               double *ms, uint64_t *count) const
-{
-    const std::string key_str = keyFor(key, fp);
-    std::string payload;
-    if (!readStoreEntry(dir_, fileStem("obs", key_str) + ".obs",
-                        kObservationFormatVersion, key_str, &payload,
-                        &counters_))
-        return false;
-    ByteReader r(payload);
-    const double ewma = r.f64();
-    const uint64_t n = r.u64();
-    if (!r.atEnd() || n == 0)
-        return false;
-    if (ms)
-        *ms = ewma;
-    if (count)
-        *count = n;
-    return true;
 }
 
 bool

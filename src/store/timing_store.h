@@ -105,36 +105,6 @@ class TimingStore
         leaseStaleAfterMs_ = age.count();
     }
 
-    // --- Observation side-channel -------------------------------------
-    //
-    // An EWMA of measured replay wall times per (key, fp), persisted
-    // NEXT TO the timing entry (".obs" sibling) so the schedulers'
-    // cost model learns across processes: a fleet that replayed a
-    // fingerprint once predicts its cost forever after. Advisory and
-    // race-tolerant — concurrent writers last-write-win through the
-    // atomic entry write, and the EWMA only ever approximates — so no
-    // lease is taken. BatchRunner records a key's first observation
-    // only: an analyze node's wall time barely moves between runs,
-    // and rewriting every entry on every warm run cost more than the
-    // ordering it refines.
-
-    /** Payload format of .obs entries (f64 EWMA ms + u64 count). */
-    static constexpr uint32_t kObservationFormatVersion = 1;
-
-    /**
-     * Merge one measured wall time into the persisted EWMA for
-     * (@p key, @p fp). False on I/O failure (degrades to a colder
-     * prediction, never to corrupt data).
-     */
-    bool recordObservationMs(const funcsim::ProfileKey &key,
-                             const arch::TimingFingerprint &fp,
-                             double ms) const;
-
-    /** The persisted EWMA for (@p key, @p fp), if any. */
-    bool loadObservationMs(const funcsim::ProfileKey &key,
-                           const arch::TimingFingerprint &fp,
-                           double *ms, uint64_t *count = nullptr) const;
-
   private:
     std::string leasePath(const std::string &key_str) const;
 

@@ -278,6 +278,61 @@ TEST(DispatchTest, WorkersServeBitIdenticalResponses)
     EXPECT_EQ(stats.cellsLocal, 0u);
 }
 
+// --- Every policy is bit-identical to the in-process run --------------
+
+/**
+ * Two tenants submit the rig's request concurrently to a 2-worker
+ * fleet whose dispatcher orders its pending queue by @p policy: the
+ * order changes, every response stays bit-identical.
+ */
+void
+expectPolicyMatchesInProcess(const std::string &policy)
+{
+    FleetRig rig("sched-" + policy, "?sched=" + policy);
+    rig.addWorker();
+    rig.addWorker();
+    const AnalysisResponse want = rig.expected();
+
+    const std::string clients[] = {"tenant-a", "tenant-b"};
+    AnalysisResponse got[2];
+    std::string failure[2];
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 2; ++i) {
+        threads.emplace_back([&, i] {
+            try {
+                AnalysisRequest req = rig.req;
+                req.clientId = clients[i];
+                got[i] = ServeClient::overUnix(rig.unixPath).run(req);
+            } catch (const std::exception &e) {
+                failure[i] = e.what();
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (int i = 0; i < 2; ++i) {
+        ASSERT_TRUE(failure[i].empty()) << clients[i] << ": " << failure[i];
+        std::string why;
+        EXPECT_TRUE(responsesEqual(got[i], want, &why))
+            << policy << ", " << clients[i] << ": " << why;
+    }
+
+    const DispatchStats stats = rig.server->dispatcher().stats();
+    EXPECT_STREQ(stats.schedPolicy, policy.c_str());
+    EXPECT_EQ(stats.cellsCompletedRemote, 2u * want.cells.size());
+    EXPECT_EQ(stats.cellsLocal, 0u);
+}
+
+TEST(DispatchTest, SjfFleetMatchesInProcessBitExactly)
+{
+    expectPolicyMatchesInProcess("sjf");
+}
+
+TEST(DispatchTest, FairShareFleetMatchesInProcessBitExactly)
+{
+    expectPolicyMatchesInProcess("fair-share");
+}
+
 // --- A worker joining mid-request picks up cells ----------------------
 
 TEST(DispatchTest, WorkerJoiningMidRequestPicksUpCells)

@@ -103,9 +103,11 @@ fillSyntheticRoot(const std::string &root, int entries,
 TEST(Lifecycle, ClassifiesEveryStoreCitizen)
 {
     for (const char *entry :
-         {"a.profile", "a.calibration", "a.bench", "a.timing", "a.obs",
+         {"a.profile", "a.calibration", "a.bench", "a.timing",
           "a.result"})
         EXPECT_TRUE(store::isEntryFileName(entry)) << entry;
+    for (const char *retired : {"a.obs", "pack-0.seg"})
+        EXPECT_FALSE(store::isEntryFileName(retired)) << retired;
     EXPECT_FALSE(store::isEntryFileName("a.lease"));
     EXPECT_FALSE(store::isEntryFileName("a.profile.tmp.123.4"))
         << "in-flight temp files are not entries";
@@ -119,7 +121,8 @@ TEST(Lifecycle, ClassifiesEveryStoreCitizen)
         << "an older build's janitor lease is swept like any lease";
     EXPECT_EQ(store::leaseNameFor("saxpy-0123.profile"),
               "saxpy-0123.lease");
-    EXPECT_EQ(store::leaseNameFor("ewma-0123.obs"), "ewma-0123.lease");
+    EXPECT_EQ(store::leaseNameFor("timing-0123.timing"),
+              "timing-0123.lease");
 }
 
 TEST(Checksum, LegacyTrailerlessEntriesStayReadable)
@@ -193,11 +196,11 @@ TEST(Verifier, QuarantinesEveryCorruptionShapeAndKeepsValidEntries)
                            good_bytes.substr(0, good_bytes.size() / 2)));
     std::string flipped = good_bytes;
     flipped[flipped.size() - store::kChecksumTrailerBytes - 5] ^= 0x40;
-    ASSERT_TRUE(writeWhole(dir + "/flip.obs", flipped));
+    ASSERT_TRUE(writeWhole(dir + "/flip.bench", flipped));
 
     // Every corrupt shape is a miss for a reader, never an abort.
     for (const char *name :
-         {"zero.profile", "magic.result", "trunc.timing", "flip.obs"}) {
+         {"zero.profile", "magic.result", "trunc.timing", "flip.bench"}) {
         std::string got;
         EXPECT_FALSE(store::readStoreEntry(dir, name, kTestVersion,
                                            "good", &got))
@@ -216,7 +219,7 @@ TEST(Verifier, QuarantinesEveryCorruptionShapeAndKeepsValidEntries)
                                       kTestVersion, "good", &got));
     EXPECT_EQ(got, payload);
     for (const char *name :
-         {"zero.profile", "magic.result", "trunc.timing", "flip.obs"}) {
+         {"zero.profile", "magic.result", "trunc.timing", "flip.bench"}) {
         EXPECT_FALSE(fileExists(dir + "/" + name)) << name;
         EXPECT_TRUE(fileExists(dir + "/" +
                                store::kQuarantineDirName + "/" + name))
@@ -237,9 +240,9 @@ TEST(Verifier, SweepsStaleTempsAndLeasesButSparesFreshOnes)
     ASSERT_TRUE(store::makeDirs(dir));
 
     // A dead writer's temp (old) and a live writer's temp (fresh).
-    ASSERT_TRUE(writeWhole(dir + "/a.obs.tmp.999.0", "orphan"));
-    backdateMtime(dir + "/a.obs.tmp.999.0", 3600);
-    ASSERT_TRUE(writeWhole(dir + "/b.obs.tmp.999.1", "in-flight"));
+    ASSERT_TRUE(writeWhole(dir + "/a.timing.tmp.999.0", "orphan"));
+    backdateMtime(dir + "/a.timing.tmp.999.0", 3600);
+    ASSERT_TRUE(writeWhole(dir + "/b.timing.tmp.999.1", "in-flight"));
 
     // A stale lease (hostname-less, governed by age alone) and a
     // fresh one.
@@ -252,11 +255,54 @@ TEST(Verifier, SweepsStaleTempsAndLeasesButSparesFreshOnes)
     EXPECT_TRUE(report.ok);
     EXPECT_EQ(report.staleTemps, 1u);
     EXPECT_EQ(report.staleLeases, 1u);
-    EXPECT_FALSE(fileExists(dir + "/a.obs.tmp.999.0"));
-    EXPECT_TRUE(fileExists(dir + "/b.obs.tmp.999.1"))
+    EXPECT_FALSE(fileExists(dir + "/a.timing.tmp.999.0"));
+    EXPECT_TRUE(fileExists(dir + "/b.timing.tmp.999.1"))
         << "a fresh temp belongs to a live writer";
     EXPECT_FALSE(fileExists(dir + "/stale.lease"));
     EXPECT_TRUE(fileExists(dir + "/fresh.lease"));
+}
+
+TEST(Lifecycle, RetiredNamesAreIgnoredByScanVerifyAndGc)
+{
+    // Older builds left `.obs` cost observations and `pack-*` segment
+    // files in store subdirectories. Neither is an entry any more: the
+    // usage scan does not count them, the verifier does not quarantine
+    // them (however they read) and the GC never evicts them.
+    const ScratchDir scratch("lc-retired");
+    const std::string &root = scratch.path;
+    const std::string dir = root + "/timing";
+    ASSERT_TRUE(store::makeDirs(dir));
+    ASSERT_TRUE(store::writeEntryFile(dir + "/live.timing", kTestVersion,
+                                      "live", std::string(256, 't')));
+    const std::string retired[] = {"x.obs", "pack-0.seg"};
+    for (const std::string &name : retired) {
+        ASSERT_TRUE(writeWhole(dir + "/" + name, std::string(64, 'Z')));
+        backdateMtime(dir + "/" + name, 3600);
+    }
+    backdateMtime(dir + "/live.timing", 3600);
+
+    const store::StoreUsage usage = store::scanStoreUsage(root);
+    EXPECT_EQ(usage.entries(), 1u);
+    EXPECT_EQ(usage.liveBytes(), store::fileSizeOf(dir + "/live.timing"));
+
+    const store::VerifyReport report = store::runVerify(root, {});
+    EXPECT_TRUE(report.clean());
+    EXPECT_EQ(report.scannedEntries, 1u);
+    EXPECT_EQ(report.quarantined, 0u);
+
+    store::GcOptions opts;
+    opts.maxBytes = 1; // evict everything evictable
+    opts.minAgeMs = 0;
+    const store::GcReport gc = store::runGc(root, opts);
+    EXPECT_TRUE(gc.ok);
+    EXPECT_EQ(gc.evicted, 1u) << "only the live entry is a candidate";
+    EXPECT_FALSE(fileExists(dir + "/live.timing"));
+    for (const std::string &name : retired) {
+        EXPECT_TRUE(fileExists(dir + "/" + name)) << name;
+        EXPECT_FALSE(fileExists(dir + "/" + store::kQuarantineDirName +
+                                "/" + name))
+            << name;
+    }
 }
 
 // --- GC: budget, LRU order, lease- and age-protection -----------------

@@ -1,31 +1,22 @@
 /**
  * @file
- * Scheduler tests: cost-model monotonicity and EWMA refinement (in
- * process and through the TimingStore observation side-channel), the
- * policy-ordered PendingQueue (FIFO/SJF plus urgent
- * drain), fair-share starvation-freedom under a flooding client, and
- * the tentpole invariant — every policy's responses bit-identical
- * (api::responsesEqual) to the FIFO run across 1..8 threads.
+ * Scheduler tests: policy parsing, cost-model monotonicity and EWMA
+ * refinement, the policy-ordered PendingQueue (FIFO/SJF plus urgent
+ * drain) and fair-share starvation-freedom under a flooding client.
+ * That every policy's responses are bit-identical to the in-process
+ * run is pinned where policies order work, at the fleet dispatcher
+ * (test_dispatch.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "api/codecs.h"
 #include "api/endpoint.h"
-#include "api/registry.h"
-#include "api/request.h"
-#include "api/service.h"
-#include "arch/gpu_spec.h"
 #include "sched/cost.h"
 #include "sched/policy.h"
-#include "store/timing_store.h"
-
-#include "scratch_dir.h"
 
 namespace gpuperf {
 namespace {
@@ -80,12 +71,12 @@ TEST(CostModel, StaticUnitsAreMonotoneInEveryFeature)
     moreWarps.warps = 64;
     EXPECT_GT(sched::CostModel::staticUnits(moreWarps), u0);
 
-    // Static estimate inherits the monotonicity through the model.
+    // An unobserved key's estimate inherits the monotonicity.
     sched::CostModel model;
-    EXPECT_GT(model.estimateStatic(moreOps),
-              model.estimateStatic(base));
-    EXPECT_GT(model.estimateStatic(moreWarps),
-              model.estimateStatic(base));
+    EXPECT_GT(model.estimate("unobserved", moreOps),
+              model.estimate("unobserved", base));
+    EXPECT_GT(model.estimate("unobserved", moreWarps),
+              model.estimate("unobserved", base));
 }
 
 TEST(CostModel, ObservationsRefineTheEstimate)
@@ -95,8 +86,10 @@ TEST(CostModel, ObservationsRefineTheEstimate)
     f.warpOps = 50;
     f.warps = 4;
 
-    // Unobserved: the static fallback.
-    EXPECT_DOUBLE_EQ(model.estimate("k", f), model.estimateStatic(f));
+    // Unobserved: the static fallback at the default scale.
+    EXPECT_DOUBLE_EQ(model.estimate("k", f),
+                     sched::CostModel::staticUnits(f) *
+                         sched::CostModel::kDefaultMsPerUnit);
 
     // First observation replaces the estimate outright (EWMA with no
     // history IS the sample) ...
@@ -110,31 +103,14 @@ TEST(CostModel, ObservationsRefineTheEstimate)
     EXPECT_LT(e, 80.0);
     EXPECT_NEAR(e, 0.3 * 80.0 + 0.7 * 40.0, 1e-12);
 
-    // Other keys are untouched.
-    EXPECT_DOUBLE_EQ(model.estimate("other", f),
-                     model.estimateStatic(f));
+    // Other keys keep the static fallback, whose ms-per-unit factor
+    // the same two samples refined: with equal features it lands on
+    // the same EWMA.
+    EXPECT_NEAR(model.estimate("other", f), e, 1e-9);
 
     // Prediction-error accounting saw both observations.
     EXPECT_EQ(model.predictionSamples(), 2u);
     EXPECT_GT(model.predictionErrorAbsSum(), 0.0);
-}
-
-TEST(CostModel, SeedInstallsButNeverOverridesInProcessHistory)
-{
-    sched::CostModel model;
-    sched::CostFeatures f;
-
-    model.seed("cold", 25.0, 4);
-    double ms = 0.0;
-    uint64_t count = 0;
-    ASSERT_TRUE(model.observed("cold", &ms, &count));
-    EXPECT_DOUBLE_EQ(ms, 25.0);
-    EXPECT_EQ(count, 4u);
-
-    model.observe("hot", f, 10.0);
-    model.seed("hot", 99.0, 100); // persisted, but staler than ours
-    ASSERT_TRUE(model.observed("hot", &ms, &count));
-    EXPECT_DOUBLE_EQ(ms, 10.0);
 }
 
 TEST(CostModel, EwmaMergeFirstSampleWinsThenSmooths)
@@ -142,44 +118,6 @@ TEST(CostModel, EwmaMergeFirstSampleWinsThenSmooths)
     EXPECT_DOUBLE_EQ(sched::CostModel::ewmaMerge(0.0, 0, 50.0), 50.0);
     EXPECT_NEAR(sched::CostModel::ewmaMerge(50.0, 1, 100.0),
                 0.3 * 100.0 + 0.7 * 50.0, 1e-12);
-}
-
-// --- TimingStore observation side-channel -----------------------------
-
-TEST(TimingStoreObservations, RecordsAndRefinesAcrossCalls)
-{
-    const ScratchDir scratch("sched-obs");
-    store::TimingStore store(scratch.path);
-    funcsim::ProfileKey key;
-    key.kernelHash = 0x1234;
-    key.inputHash = 0x5678;
-    const arch::TimingFingerprint fp =
-        arch::TimingFingerprint::of(arch::GpuSpec::gtx285());
-
-    double ms = 0.0;
-    uint64_t count = 0;
-    EXPECT_FALSE(store.loadObservationMs(key, fp, &ms, &count));
-
-    ASSERT_TRUE(store.recordObservationMs(key, fp, 100.0));
-    ASSERT_TRUE(store.loadObservationMs(key, fp, &ms, &count));
-    EXPECT_DOUBLE_EQ(ms, 100.0);
-    EXPECT_EQ(count, 1u);
-
-    // A second record merges by the model's own EWMA rule, so the
-    // store-side and in-process refinement agree to the bit.
-    ASSERT_TRUE(store.recordObservationMs(key, fp, 200.0));
-    ASSERT_TRUE(store.loadObservationMs(key, fp, &ms, &count));
-    EXPECT_NEAR(ms, sched::CostModel::ewmaMerge(100.0, 1, 200.0),
-                1e-12);
-    EXPECT_EQ(count, 2u);
-
-    // Observations are keyed per (profile key, timing fingerprint).
-    const arch::TimingFingerprint fp2 = arch::TimingFingerprint::of(
-        arch::GpuSpec::gtx285MoreBlocks());
-    EXPECT_FALSE(store.loadObservationMs(key, fp2, &ms, &count));
-    funcsim::ProfileKey other = key;
-    other.kernelHash = 0x9999;
-    EXPECT_FALSE(store.loadObservationMs(other, fp, &ms, &count));
 }
 
 // --- PendingQueue policy ordering -------------------------------------
@@ -278,79 +216,6 @@ TEST(PendingQueue, FairShareNeverStarvesTheTricklingClient)
     }
     EXPECT_TRUE(sawA);
     EXPECT_TRUE(sawB);
-}
-
-// --- Policy == FIFO bit-identity through the service ------------------
-
-model::CalibrationTables
-fakeTables()
-{
-    model::CalibrationTables t;
-    t.maxWarps = 32;
-    t.bytesPerPass = 64;
-    for (int type = 0; type < arch::kNumInstrTypes; ++type) {
-        t.instrThroughput[type].assign(33, 0.0);
-        for (int w = 1; w <= 32; ++w)
-            t.instrThroughput[type][w] = 1e10 * std::min(1.0, w / 8.0);
-    }
-    t.sharedPassThroughput.assign(33, 0.0);
-    for (int w = 1; w <= 32; ++w)
-        t.sharedPassThroughput[w] = 2e10 * std::min(1.0, w / 8.0);
-    return t;
-}
-
-api::AnalysisRequest
-schedRequest(int numThreads)
-{
-    api::AnalysisRequest req;
-    req.jobName = "sched-identity";
-    req.kernels.push_back(api::KernelJob::fromRef(
-        "saxpy-small", api::CaseRef{"saxpy", {8, 128}, {2.0}}));
-    req.kernels.push_back(api::KernelJob::fromRef(
-        "conflicted",
-        api::CaseRef{"shared-conflict", {8, 128, 8, 32}, {}}));
-    req.kernels.push_back(api::KernelJob::fromRef(
-        "hist", api::CaseRef{"histogram", {6, 128, 8, 4}, {}}));
-    req.specs.push_back(arch::GpuSpec::gtx285());
-    req.specs.push_back(arch::GpuSpec::gtx285MoreBlocks());
-    req.sweep.noBankConflicts = true;
-    req.sweep.warpsPerSm = {8.0, 32.0};
-    req.sweep.coalescingFractions = {1.0};
-    req.exec.numThreads = numThreads;
-    return req;
-}
-
-TEST(SchedIdentity, EveryPolicyMatchesFifoBitExactlyAcrossThreads)
-{
-    const auto tables =
-        std::make_shared<const model::CalibrationTables>(fakeTables());
-    for (int threads = 1; threads <= 8; ++threads) {
-        const api::AnalysisRequest req = schedRequest(threads);
-
-        api::AnalysisService fifo;
-        fifo.setSchedPolicy(sched::SchedPolicy::kFifo);
-        for (const arch::GpuSpec &spec : req.specs)
-            fifo.adoptCalibration(req, spec, tables);
-        const api::AnalysisResponse want = fifo.run(req);
-        ASSERT_EQ(want.cells.size(), 6u);
-
-        for (sched::SchedPolicy p :
-             {sched::SchedPolicy::kSjf,
-              sched::SchedPolicy::kFairShare}) {
-            api::AnalysisService service;
-            // Policy BEFORE adoption: the policy is part of the
-            // executor cache key, and the tables must land in the
-            // executor that will run the request.
-            service.setSchedPolicy(p);
-            for (const arch::GpuSpec &spec : req.specs)
-                service.adoptCalibration(req, spec, tables);
-            const api::AnalysisResponse got = service.run(req);
-            std::string why;
-            EXPECT_TRUE(api::responsesEqual(got, want, &why))
-                << sched::schedPolicyName(p) << " @ " << threads
-                << " threads: " << why;
-        }
-    }
 }
 
 } // namespace

@@ -442,6 +442,27 @@ TEST_F(WarmStoreTest, WarmResultCellsTakeTheKeyOnlyPath)
         << "warm result cells skip the timing memo too";
 }
 
+TEST_F(WarmStoreTest, ColdRunWritesOneTimingEntryPerReplayAndNoObs)
+{
+    const ScratchDir scratch("cold-timing-writes");
+    const std::string &dir = scratch.path;
+    auto cold = makeRunner(dir);
+    for (const auto &r : cold->run(kernels_, specs_, sweep_))
+        ASSERT_TRUE(r.ok) << r.error;
+
+    const uint64_t replays = cold->timingsComputed();
+    ASSERT_GT(replays, 0u);
+    EXPECT_EQ(cold->storeStats().timings.writes, replays);
+    size_t timing_files = 0;
+    for (const auto &e :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        EXPECT_NE(e.path().extension(), ".obs") << e.path();
+        if (e.path().extension() == ".timing")
+            ++timing_files;
+    }
+    EXPECT_EQ(timing_files, replays);
+}
+
 TEST_F(WarmStoreTest, WarmRunsRepublishOnlyInvalidEntries)
 {
     const ScratchDir scratch("warm-republish");
@@ -454,13 +475,12 @@ TEST_F(WarmStoreTest, WarmRunsRepublishOnlyInvalidEntries)
     ASSERT_EQ(entries.size(), cells);
 
     // Result reuse off: every cell recomputes, but a result is
-    // deterministic in its key and every cell already has a cost
-    // observation, so the run writes nothing at all.
+    // deterministic in its key, so the run writes nothing at all.
     auto rerun = makeRunner(dir, false);
     expectSame(rerun->run(kernels_, specs_, sweep_), cold_results);
     const store::StoreLayerStats quiet = rerun->storeStats();
     EXPECT_EQ(quiet.results.writes, 0u);
-    EXPECT_EQ(quiet.timings.writes, 0u) << "no .obs entry rewritten";
+    EXPECT_EQ(quiet.timings.writes, 0u);
     EXPECT_EQ(quiet.total().writes, 0u);
 
     // A stored result whose payload no longer matches its checksum is
@@ -833,7 +853,7 @@ TEST(StoreCounters, CountsOneLookupPerProfileAndTiming)
     EXPECT_EQ(cold.profiles.bytesRead, 0u);
     EXPECT_EQ(cold.timings.hits, 0u);
     EXPECT_EQ(cold.timings.misses, 1u);
-    EXPECT_EQ(cold.timings.writes, 2u) << "the replay and its .obs";
+    EXPECT_EQ(cold.timings.writes, 1u);
     EXPECT_EQ(cold.timings.bytesRead, 0u);
 
     const auto entrySize = [&](const std::string &sub,
@@ -846,7 +866,6 @@ TEST(StoreCounters, CountsOneLookupPerProfileAndTiming)
     };
     const uint64_t profile_bytes = entrySize("/profiles", ".profile");
     const uint64_t timing_bytes = entrySize("/timing", ".timing");
-    const uint64_t obs_bytes = entrySize("/timing", ".obs");
     ASSERT_GT(profile_bytes, 0u);
     ASSERT_GT(timing_bytes, 0u);
 
@@ -862,8 +881,7 @@ TEST(StoreCounters, CountsOneLookupPerProfileAndTiming)
     EXPECT_EQ(warm.profiles.bytesRead, profile_bytes);
     EXPECT_EQ(warm.timings.hits, 1u);
     EXPECT_EQ(warm.timings.misses, 0u);
-    EXPECT_EQ(warm.timings.bytesRead, timing_bytes + obs_bytes)
-        << "the counted replay load plus the cost observation";
+    EXPECT_EQ(warm.timings.bytesRead, timing_bytes);
 
     // The probes themselves, on entries that exist (what the
     // re-check sees when another process published first).

@@ -3,9 +3,10 @@
  * Task-graph executor tests: dependency ordering on diamonds, per-node
  * exception capture with skip-cascade to dependents, dynamic node
  * creation from running nodes (the store-warm short-circuit mechanism
- * the batch driver relies on), and no deadlock for worker counts
- * 1..8 — including the single-thread case, where any node that blocked
- * on another node would wedge the pool.
+ * the batch driver relies on), FIFO start order of ready nodes, and
+ * no deadlock for worker counts 1..8 — including the single-thread
+ * case, where any node that blocked on another node would wedge the
+ * pool.
  */
 
 #include <gtest/gtest.h>
@@ -180,6 +181,36 @@ TEST(TaskGraphTest, DrainsWideLayeredGraphsOnOneToEightThreads)
         EXPECT_EQ(executed.load(), 3 * kWidth);
         EXPECT_TRUE(graph.failures().empty());
     }
+}
+
+TEST(TaskGraphTest, ReadyNodesRunInTheOrderTheyBecameReady)
+{
+    // One worker makes the start order observable. a, b and c are
+    // roots; d waits on a. a adds x (ready at once, so behind the
+    // roots but ahead of d, which a's completion readies); b adds y
+    // behind c, still pending, so y is ready only once c finishes.
+    ThreadPool pool(1);
+    TaskGraph graph(pool);
+    std::vector<std::string> order;
+    const auto note = [&order](const char *name) {
+        return [&order, name]() { order.push_back(name); };
+    };
+    const auto a = graph.add("a", [&]() {
+        order.push_back("a");
+        graph.add("x", note("x"));
+    });
+    TaskGraph::NodeId c = 0;
+    graph.add("b", [&]() {
+        order.push_back("b");
+        graph.add("y", note("y"), {c});
+    });
+    c = graph.add("c", note("c"));
+    graph.add("d", note("d"), {a});
+    graph.run();
+
+    EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "x", "d",
+                                                "y"}));
+    EXPECT_TRUE(graph.failures().empty());
 }
 
 TEST(TaskGraphTest, RunIsOneShot)

@@ -20,7 +20,7 @@
  *   --gc-bytes N        store GC live-byte budget        (`gc-bytes`)
  *   --gc-age SEC        store GC idle-age bound            (`gc-age`)
  *   --gc-interval SEC   server GC sweep period        (`gc-interval`)
- *   --sched POLICY      scheduling policy fifo|sjf|fair-share
+ *   --sched POLICY      dispatcher order fifo|sjf|fair-share
  *                                                         (`sched`)
  *   --client ID         client identity for fair-share   (`client`)
  *   --json              send JSON requests                 (`json`)
